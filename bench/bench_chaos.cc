@@ -11,14 +11,14 @@
 //
 //   alloc        -> kResourceExhausted, rescued by transparent retry;
 //   pool_spawn   -> sequential-sort degradation (trace-identical);
-//   worker_crash -> session worker dies picking up a batch; the service
-//                   requeues the batch (once per query) and respawns the
+//   worker_crash -> session worker dies picking up a query; the service
+//                   requeues the query (at most once) and respawns the
 //                   slot;
 //
-// plus a crash_heavy variant (worker_crash every 2nd batch pop, everyNth
-// mode) that deterministically drives the requeue/respawn machinery hard —
-// some queries there lose two workers and surface kUnavailable, which is
-// exactly the at-most-one-requeue contract.  (The decrypt_mac transient
+// plus a crash_heavy variant (worker_crash every 2nd pop, everyNth mode)
+// that deterministically drives the requeue/respawn machinery hard — a
+// query that loses two workers surfaces kUnavailable, which is exactly the
+// at-most-one-requeue contract.  (The decrypt_mac transient
 // path is unit-level: plan execution does not yet route tables through
 // EncryptedOArray, so that site is exercised by tests/robustness_test.cc
 // and the Status classification by tests/resilience_test.cc.)  Every
@@ -144,7 +144,6 @@ VariantResult RunVariant(const VariantSpec& spec,
   ServiceOptions opts;
   opts.sessions = 4;
   opts.plan_cache = true;
-  opts.batch_admit = true;
   opts.retry.max_attempts = 3;
   opts.retry.backoff.base_ms = 0;  // immediate retries: deterministic timing
   QueryService svc(BaseContext(&cache), opts);
@@ -296,7 +295,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: chaos variants fired no faults\n");
     ok = false;
   }
-  // Every 2nd batch pop crashes a worker in crash_heavy — with >= 2 pops
+  // Every 2nd pop crashes a worker in crash_heavy — with >= 2 pops
   // the containment path (requeue + respawn) must have run.
   const VariantResult& heavy = results[3];
   if (heavy.counters.worker_crashes == 0 ||

@@ -11,15 +11,14 @@
 //   * sessions1_cache     — 1 session, caches on: the pure artifact +
 //                           plan-cache speedup (same schedule);
 //   * sessions2_cache     — 2 concurrent sessions, caches on;
-//   * sessions4_cache     — 4 concurrent sessions, caches on;
-//   * sessions4_batched   — 4 sessions, caches on, batched admission.
+//   * sessions4_cache     — 4 concurrent sessions, caches on.
 //
 // Every variant byte-compares each response against a direct solo
 // Executor reference — concurrency and caching must never change a bit.
 //
 // Emits JSON to stdout (bench/run_benches.sh captures it as
 // BENCH_service.json): per variant the wall seconds, queries/sec, and the
-// cache/batch counters; the header carries the thread budget and the
+// cache counters; the header carries the thread budget and the
 // cache-on hit rates.
 //
 //   bench_service [--smoke]
@@ -90,7 +89,6 @@ struct VariantSpec {
   const char* name;
   unsigned sessions;
   bool plan_cache;
-  bool batch_admit;
 };
 
 struct VariantResult {
@@ -109,7 +107,6 @@ VariantResult RunVariant(const VariantSpec& spec,
   ServiceOptions opts;
   opts.sessions = spec.sessions;
   opts.plan_cache = spec.plan_cache;
-  opts.batch_admit = spec.batch_admit;
   QueryService svc(BaseContext(&cache), opts);
 
   VariantResult out;
@@ -177,11 +174,10 @@ int main(int argc, char** argv) {
   }
 
   const VariantSpec specs[] = {
-      {"sessions1_nocache", 1, false, false},
-      {"sessions1_cache", 1, true, false},
-      {"sessions2_cache", 2, true, false},
-      {"sessions4_cache", 4, true, false},
-      {"sessions4_batched", 4, true, true},
+      {"sessions1_nocache", 1, false},
+      {"sessions1_cache", 1, true},
+      {"sessions2_cache", 2, true},
+      {"sessions4_cache", 4, true},
   };
 
   bool ok = true;
@@ -232,17 +228,15 @@ int main(int argc, char** argv) {
     const VariantResult& r = results[i];
     std::printf(
         "    {\"name\": \"%s\", \"sessions\": %u, \"session_workers\": %u, "
-        "\"plan_cache\": %s, \"batch_admit\": %s,\n"
+        "\"plan_cache\": %s,\n"
         "     \"seconds\": %.6f, \"queries_per_sec\": %.3f,\n"
         "     \"artifact_hits\": %" PRIu64 ", \"artifact_misses\": %" PRIu64
         ", \"plan_cache_hits\": %" PRIu64 ", \"plan_cache_misses\": %" PRIu64
-        ", \"coalesced\": %" PRIu64 ", \"batches\": %" PRIu64 "}%s\n",
+        "}%s\n",
         spec.name, spec.sessions, r.session_workers,
-        spec.plan_cache ? "true" : "false",
-        spec.batch_admit ? "true" : "false", r.seconds, r.qps,
-        r.artifact.hits, r.artifact.misses, r.counters.plan_cache_hits,
-        r.counters.plan_cache_misses, r.counters.coalesced,
-        r.counters.batches, i + 1 == results.size() ? "" : ",");
+        spec.plan_cache ? "true" : "false", r.seconds, r.qps, r.artifact.hits,
+        r.artifact.misses, r.counters.plan_cache_hits,
+        r.counters.plan_cache_misses, i + 1 == results.size() ? "" : ",");
   }
   std::printf("  ],\n  \"speedup_cache_over_nocache\": %.3f\n}\n",
               cached.seconds > 0 ? nocache.seconds / cached.seconds : 0.0);

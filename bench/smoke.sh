@@ -1,29 +1,33 @@
 #!/usr/bin/env bash
-# CI smoke pass: configure a warning-strict build, compile everything
-# (-Wall -Wextra -Werror — any new warning fails the build), run the unit
-# tests four times — under the stock kBlocked default, with
-# SortPolicy::kAuto as the ExecContext default (OBLIVDB_SORT_POLICY=auto)
-# so a cost-model dispatch regression cannot hide, with order-aware sort
-# elision pinned off (OBLIVDB_SORT_ELISION=off) so both sides of the
-# elision flag stay green, and with sharded execution forced
-# (OBLIVDB_SHARDS=4) so every suite also passes through the k-way
-# partitioned pipelines, and with the plan optimizer pinned off
-# (OBLIVDB_OPTIMIZE=off) so the unrewritten plans stay byte-for-byte
-# healthy on their own — then run the small-n sort / distribute /
-# join-pipeline / shard / faults / optimizer / service benches and the
-# query-plan demo (plan-vs-direct cross-check).  A sixth pass rebuilds
-# under ASan+UBSan (-DOBLIVDB_SANITIZE=address,undefined) and runs the
-# whole suite with fault injection live (OBLIVDB_FAULT_SPEC), so the
-# recovery unwind paths are exercised leak- and UB-checked.  A seventh
-# pass rebuilds under TSan (-DOBLIVDB_SANITIZE=thread) and runs the
-# suite with the query service at 4 concurrent sessions
-# (OBLIVDB_SERVICE_SESSIONS=4), so the service's shared state — the
-# admission queue, both cache layers, the exclusive-trace lock — is
-# exercised race-checked.  An eighth pass runs the whole suite plus the
-# chaos harness with the resilience fault set live (worker crashes + the
-# transient environmental faults) at 4 sessions, so crash containment,
-# transparent retry and the circuit breaker absorb a real fault stream
-# while every byte-identity assertion stays green.
+# CI smoke pass: configure a warning-strict build (-Wall -Wextra -Werror —
+# any new warning fails the build), compile everything, and run the unit
+# suite eight times:
+#
+#   1. stock defaults (kBlocked);
+#   2. SortPolicy::kAuto as the ExecContext default
+#      (OBLIVDB_SORT_POLICY=auto), so a cost-model dispatch regression
+#      cannot hide;
+#   3. order-aware sort elision pinned off (OBLIVDB_SORT_ELISION=off), so
+#      both sides of the elision flag stay green;
+#   4. sharded execution forced (OBLIVDB_SHARDS=4), so every suite also
+#      passes through the k-way partitioned pipelines;
+#   5. the plan optimizer pinned off (OBLIVDB_OPTIMIZE=off), so the
+#      unrewritten plans stay byte-for-byte healthy on their own;
+#   6. an ASan+UBSan rebuild (-DOBLIVDB_SANITIZE=address,undefined) with
+#      fault injection live (OBLIVDB_FAULT_SPEC), so the recovery unwind
+#      paths are exercised leak- and UB-checked;
+#   7. a TSan rebuild (-DOBLIVDB_SANITIZE=thread) with the query service at
+#      4 concurrent sessions (OBLIVDB_SERVICE_SESSIONS=4), so the service's
+#      shared state — the admission queue, both cache layers, the
+#      exclusive-trace lock — is exercised race-checked;
+#   8. chaos: the resilience fault set live (worker crashes + the transient
+#      environmental faults) at 4 sessions, plus the chaos harness, so
+#      crash containment, transparent retry and the circuit breaker absorb
+#      a real fault stream while every byte-identity assertion stays green.
+#
+# Between passes 5 and 6 it runs the repo benchmark's smoke mode, the
+# small-n sort / distribute / join-pipeline / shard / faults / optimizer /
+# service benches and the query-plan demo (plan-vs-direct cross-check).
 #
 #   bench/smoke.sh [build-dir]      # default: build-smoke
 
@@ -34,6 +38,7 @@ build_dir="${1:-$repo_root/build-smoke}"
 
 cmake -B "$build_dir" -S "$repo_root" -DOBLIVDB_WERROR=ON >/dev/null
 cmake --build "$build_dir" -j "$(nproc)"
+# First pass: stock defaults.
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 # Second pass with the cost-model default: every operator sort now goes
 # through the kAuto resolution (pool pinned to 4 workers so the sorts fan
@@ -82,10 +87,10 @@ python3 "$repo_root/oblivbench/run.py" --smoke
 # scenarios, and the expected rewrites must actually fire.
 "$build_dir/bench_optimizer" --smoke >/dev/null
 # Query-service cross-check: byte equality vs a solo Executor across every
-# cache/batching/session-count variant, and the cache-on rows must hit.
+# cache/session-count variant, and the cache-on rows must hit.
 "$build_dir/bench_service" --smoke >/dev/null
 cmake --build "$build_dir" --target plan_smoke
-# Final pass: rebuild under ASan+UBSan and run the whole suite with a
+# Sixth pass: rebuild under ASan+UBSan and run the whole suite with a
 # low-rate transient-MAC fault stream live, so the retry and unwind
 # machinery runs sanitized.  robustness_test then re-runs alone under a
 # hotter multi-site spec (every-3rd EPC refusal, every-2nd spawn refusal).

@@ -24,7 +24,6 @@
 
 #include "core/exec_context.h"
 #include "core/order.h"
-#include "obliv/sort_kernel.h"
 #include "table/table.h"
 
 namespace oblivdb::core {
@@ -54,10 +53,6 @@ struct JoinGroupAggregate {
 std::vector<JoinGroupAggregate> ObliviousJoinAggregate(
     const Table& table1, const Table& table2, const ExecContext& ctx = {},
     const OrderHints& hints = {});
-
-// Deprecated shim over the ExecContext form.
-std::vector<JoinGroupAggregate> ObliviousJoinAggregate(
-    const Table& table1, const Table& table2, obliv::SortPolicy sort_policy);
 
 }  // namespace oblivdb::core
 

@@ -143,12 +143,4 @@ AugmentResult AugmentTables(const Table& table1, const Table& table2,
   return result;
 }
 
-AugmentResult AugmentTables(const Table& table1, const Table& table2,
-                            uint64_t* sort_comparisons,
-                            obliv::SortPolicy sort_policy) {
-  ExecContext ctx;
-  ctx.sort_policy = sort_policy;
-  return AugmentTables(table1, table2, ctx, sort_comparisons);
-}
-
 }  // namespace oblivdb::core

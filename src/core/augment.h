@@ -49,11 +49,6 @@ AugmentResult AugmentTables(const Table& table1, const Table& table2,
                             uint64_t* sorts_elided = nullptr,
                             obliv::SortPolicy* sort_chosen = nullptr);
 
-// Deprecated shim over the ExecContext form.
-AugmentResult AugmentTables(
-    const Table& table1, const Table& table2, uint64_t* sort_comparisons,
-    obliv::SortPolicy sort_policy = ExecContext::kDefaultSortPolicy);
-
 // Fill-Dimensions: the forward/backward pass pair of Figure 2.  Expects tc
 // sorted by (j, tid); on return every entry carries its group's final
 // (alpha1, alpha2).  Returns m = sum over groups of alpha1 * alpha2.

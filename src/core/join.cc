@@ -139,15 +139,6 @@ StatusOr<std::vector<JoinedRecord>> TryObliviousJoin(const Table& table1,
       ctx, [&] { return ObliviousJoin(table1, table2, ctx, hints); });
 }
 
-std::vector<JoinedRecord> ObliviousJoin(const Table& table1,
-                                        const Table& table2,
-                                        const JoinOptions& options) {
-  ExecContext ctx;
-  ctx.sort_policy = options.sort_policy;
-  ctx.stats = options.stats;
-  return ObliviousJoin(table1, table2, ctx);
-}
-
 uint64_t ObliviousJoinSize(const Table& table1, const Table& table2) {
   return AugmentTables(table1, table2).output_size;
 }

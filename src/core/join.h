@@ -16,30 +16,10 @@
 #include "core/exec_context.h"
 #include "core/order.h"
 #include "core/stats.h"
-#include "obliv/sort_kernel.h"
 #include "table/record.h"
 #include "table/table.h"
 
 namespace oblivdb::core {
-
-// Deprecated: per-operator knob bag, superseded by ExecContext.  Kept so
-// pre-refactor call sites compile unchanged; new code should build an
-// ExecContext (which adds the stats sink, pool and trace hookups).
-struct JoinOptions {
-  // When non-null, receives per-phase counters and timings (Table 3).
-  JoinStats* stats = nullptr;
-
-  // Sort implementation for every bitonic sort in the pipeline
-  // (Augment-Tables, both expansions, Align-Table).  All policies produce
-  // the same element order and comparison counts, and every policy's trace
-  // is input-independent, so this is purely a speed knob.  kReference and
-  // kBlocked emit the bit-identical network log; kTagSort
-  // (key/payload separation, obliv/tag_sort.h) emits a *different* — still
-  // length-determined — sequence, so compare its traces only against
-  // kTagSort runs.  kBlocked is the cache-resident kernel of
-  // obliv/sort_block.h.
-  obliv::SortPolicy sort_policy = ExecContext::kDefaultSortPolicy;
-};
 
 // The full oblivious equi-join.  Reveals (and returns rows of) the output
 // length m, as discussed in §3.2 ("Revealing Output Length"); everything
@@ -68,11 +48,6 @@ std::vector<JoinedRecord> ObliviousJoin(const Table& table1,
 StatusOr<std::vector<JoinedRecord>> TryObliviousJoin(
     const Table& table1, const Table& table2, const ExecContext& ctx = {},
     const OrderHints& hints = {});
-
-// Deprecated shim over the ExecContext form.
-std::vector<JoinedRecord> ObliviousJoin(const Table& table1,
-                                        const Table& table2,
-                                        const JoinOptions& options);
 
 // Convenience: just the output size |T1 |><| T2|, in O(n log^2 n) time
 // (Augment-Tables alone; no expansion).

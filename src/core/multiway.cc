@@ -65,14 +65,6 @@ Table ObliviousMultiwayJoin(const std::vector<Table>& tables,
   return accumulated;
 }
 
-Table ObliviousMultiwayJoin(const std::vector<Table>& tables,
-                            const JoinOptions& options) {
-  ExecContext ctx;
-  ctx.sort_policy = options.sort_policy;
-  ctx.stats = options.stats;
-  return ObliviousMultiwayJoin(tables, ctx);
-}
-
 std::vector<ThreeWayRow> ObliviousThreeWayJoin(const Table& t1,
                                                const Table& t2,
                                                const Table& t3,
@@ -105,16 +97,6 @@ std::vector<ThreeWayRow> ObliviousThreeWayJoin(const Table& t1,
         ThreeWayRow{r.key, r.payload1[0], r.payload1[1], r.payload2[0]});
   }
   return rows;
-}
-
-std::vector<ThreeWayRow> ObliviousThreeWayJoin(const Table& t1,
-                                               const Table& t2,
-                                               const Table& t3,
-                                               const JoinOptions& options) {
-  ExecContext ctx;
-  ctx.sort_policy = options.sort_policy;
-  ctx.stats = options.stats;
-  return ObliviousThreeWayJoin(t1, t2, t3, ctx);
 }
 
 }  // namespace oblivdb::core

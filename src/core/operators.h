@@ -25,7 +25,6 @@
 
 #include "core/exec_context.h"
 #include "core/order.h"
-#include "obliv/sort_kernel.h"
 #include "table/table.h"
 
 namespace oblivdb::core {
@@ -39,8 +38,7 @@ using CtRowPredicate = std::function<uint64_t(const Record&)>;
 // sort execution strategy (obliv/sort_kernel.h; pure speed knob, identical
 // output and obliviousness for every policy), and each operator reports its
 // phase counters — n1/n2, output size m, op_sort_comparisons, op_route_ops
-// — through ctx.ReportStats under its name.  The SortPolicy-only overloads
-// are deprecated shims for pre-ExecContext call sites.
+// — through ctx.ReportStats under its name.
 //
 // Order-aware elision (core/order.h): the sorting operators additionally
 // accept OrderHints promising the order their input tables already have.
@@ -60,7 +58,6 @@ Table ObliviousSelect(const Table& input, const CtRowPredicate& keep,
 // (hints.left) elides the sort entirely — duplicates are already adjacent.
 Table ObliviousDistinct(const Table& input, const ExecContext& ctx = {},
                         const OrderHints& hints = {});
-Table ObliviousDistinct(const Table& input, obliv::SortPolicy sort_policy);
 
 // T1 |x<: every T1 row whose join value occurs in T2, each at most once
 // regardless of the match count on the T2 side.  Augment-style pass over
@@ -71,15 +68,11 @@ Table ObliviousDistinct(const Table& input, obliv::SortPolicy sort_policy);
 Table ObliviousSemiJoin(const Table& t1, const Table& t2,
                         const ExecContext& ctx = {},
                         const OrderHints& hints = {});
-Table ObliviousSemiJoin(const Table& t1, const Table& t2,
-                        obliv::SortPolicy sort_policy);
 
 // T1 |><: the complement of the semi-join.  Same cost and leakage.
 Table ObliviousAntiJoin(const Table& t1, const Table& t2,
                         const ExecContext& ctx = {},
                         const OrderHints& hints = {});
-Table ObliviousAntiJoin(const Table& t1, const Table& t2,
-                        obliv::SortPolicy sort_policy);
 
 // Multiset union: a fixed-pattern concatenation (no data-dependent work at
 // all; exposed so query plans can stay inside the oblivious API).

@@ -147,14 +147,15 @@ std::string ExplainPlan(const PlanPtr& plan);
 // overrides — never row contents, table names, or predicate identity.
 // Two plans with equal signatures present the same public profile to the
 // executor (sizes, orders, operator schedule), so the signature is the
-// normalization key for the service plan cache, batched admission, and
+// normalization key for the service plan cache, the circuit breaker, and
 // the optimizer's revealed-size feedback (core/optimizer.h SizeFeedback).
 // Built from public metadata only, so computing or logging it leaks
 // nothing.  Example: "join/s2(select?k(scan#128),scan#64@k!)" — a 2-shard
 // join of a key-only select over a 128-row scan with a key-sorted,
 // key-unique 64-row scan.  Selects with different predicates over equal
 // shapes share a signature; consumers that must distinguish them (e.g.
-// result coalescing) additionally require plan-pointer identity.
+// the plan cache's identity hit) additionally require plan-pointer
+// identity.
 std::string PlanShapeSignature(const PlanPtr& plan);
 
 struct PlanNodeStats;

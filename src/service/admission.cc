@@ -10,10 +10,9 @@
 namespace oblivdb::service {
 
 PendingQuery::PendingQuery(core::PlanPtr plan, std::string signature,
-                           uint64_t input_rows, SessionOptions options)
+                           SessionOptions options)
     : plan_(std::move(plan)),
       signature_(std::move(signature)),
-      input_rows_(input_rows),
       options_(options) {
   if (options_.deadline_seconds > 0) {
     deadline_ = std::chrono::steady_clock::now() +
@@ -102,61 +101,33 @@ Status AdmissionQueue::TryEnqueue(std::shared_ptr<PendingQuery> query) {
   return Status::Ok();
 }
 
-std::vector<std::shared_ptr<PendingQuery>> AdmissionQueue::PopBatch() {
+std::shared_ptr<PendingQuery> AdmissionQueue::Pop() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-  if (queue_.empty()) return {};  // closed and drained
-
-  std::vector<std::shared_ptr<PendingQuery>> batch;
-  batch.push_back(std::move(queue_.front()));
+  if (queue_.empty()) return nullptr;  // closed and drained
+  std::shared_ptr<PendingQuery> head = std::move(queue_.front());
   queue_.pop_front();
-  const PendingQuery& head = *batch.front();
-  if (!limits_.batching || head.exclusive()) {
-    in_flight_ += batch.size();
-    return batch;
-  }
-
-  // Later same-signature, non-exclusive entries join the head while the
-  // summed public input rows fit the capacity budget; skipped entries
-  // keep their FIFO positions.  Everything read here is public metadata.
-  uint64_t rows = head.input_rows();
-  for (auto it = queue_.begin();
-       it != queue_.end() && batch.size() < limits_.max_batch;) {
-    const PendingQuery& cand = **it;
-    if (!cand.exclusive() && cand.signature() == head.signature() &&
-        rows + cand.input_rows() <= limits_.batch_capacity_rows) {
-      rows += cand.input_rows();
-      batch.push_back(std::move(*it));
-      it = queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  in_flight_ += batch.size();
-  return batch;
+  ++in_flight_;
+  return head;
 }
 
-void AdmissionQueue::FinishBatch(size_t n) {
+void AdmissionQueue::Finish() {
   bool idle = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    OBLIVDB_CHECK(in_flight_ >= n);
-    in_flight_ -= n;
+    OBLIVDB_CHECK(in_flight_ > 0);
+    --in_flight_;
     idle = in_flight_ == 0 && queue_.empty();
   }
   if (idle) idle_cv_.notify_all();
 }
 
-void AdmissionQueue::RequeueFront(
-    std::vector<std::shared_ptr<PendingQuery>> queries) {
-  if (queries.empty()) return;
+void AdmissionQueue::RequeueFront(std::shared_ptr<PendingQuery> query) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = queries.rbegin(); it != queries.rend(); ++it) {
-      queue_.push_front(std::move(*it));
-    }
+    queue_.push_front(std::move(query));
   }
-  cv_.notify_all();
+  cv_.notify_one();
 }
 
 void AdmissionQueue::Close() {

@@ -1,28 +1,12 @@
 // Admission control for the concurrent query service: a bounded FIFO of
-// pending queries with optional same-shape batch formation.
+// pending queries.
 //
-// The queue is the service's only shared front-door state.  Admission
-// decisions read exclusively *public* per-query metadata — the plan-shape
-// signature (core/plan.h PlanShapeSignature: operator schedule + public
-// sizes), the summed public input sizes, and the session's own knobs —
-// never row contents, so which queries batch together, and in what order,
-// is itself a function of public state (§3.1's composition argument
-// extends across queries).
-//
-// Batching model: the head of the queue always dispatches; when batching
-// is enabled, up to `max_batch - 1` *later* entries with the head's exact
-// signature join it, skipping over entries of other shapes (those keep
-// their FIFO positions), as long as the batch's summed public input rows
-// stay within `batch_capacity_rows` — the padded-capacity budget one
-// worker pass is allowed to absorb.  Same-shape queries admitted together
-// run back-to-back on one session worker with every shape-keyed artifact
-// already warm (Beneš switch plans, optimized-plan cache entries), which
-// is where the batch throughput win comes from; queries over the *same
-// plan object* additionally coalesce to a single execution
-// (service/query_service.h).  Queries that carry a trace sink are marked
-// exclusive and always form a batch of one — the memory-trace
-// instrumentation is process-global (memtrace/trace.h), so a traced run
-// owns the engine.
+// The queue is the service's only shared front-door state.  Workers pop
+// one query at a time, in arrival order.  Admission decisions read only
+// *public* state — the queue depth and each query's client-supplied
+// priority — never row contents, so the dispatch order is itself a
+// function of public state (§3.1's composition argument extends across
+// queries).
 //
 // Rejection is Status-typed, never silent: a full queue refuses with
 // kResourceExhausted (current depth + a retry_after_ms backoff hint) at
@@ -39,12 +23,12 @@
 // Priorities are client-supplied public metadata (SessionOptions::priority),
 // so shed decisions remain functions of public state.
 //
-// Drain support: PopBatch/FinishBatch bracket a batch's execution so the
-// queue can count in-flight work; WaitIdleFor blocks until both the queue
-// and the in-flight set are empty (or the deadline lapses), and
-// DrainPending flushes still-queued entries back to the caller for
-// disposition.  RequeueFront re-admits queries popped by a worker that
-// died under them, ahead of everything queued (they already waited once).
+// Drain support: Pop/Finish bracket a query's execution so the queue can
+// count in-flight work; WaitIdleFor blocks until both the queue and the
+// in-flight set are empty (or the deadline lapses), and DrainPending
+// flushes still-queued entries back to the caller for disposition.
+// RequeueFront re-admits a query popped by a worker that died under it,
+// ahead of everything queued (it already waited once).
 
 #ifndef OBLIVDB_SERVICE_ADMISSION_H_
 #define OBLIVDB_SERVICE_ADMISSION_H_
@@ -75,14 +59,12 @@ namespace oblivdb::service {
 struct SessionOptions {
   // Per-query telemetry sink; reports arrive only from this query's own
   // execution (never another session's — isolation is pinned by
-  // tests/service_test.cc).  A query with a stats or trace sink never
-  // coalesces onto another query's result: its telemetry must come from a
-  // real execution.
+  // tests/service_test.cc).
   core::StatsSink* stats_sink = nullptr;
 
   // Full public-memory trace of this query.  Setting it marks the query
-  // *exclusive*: it runs alone (no concurrent queries, batch of one), so
-  // the process-global trace instrumentation observes exactly what a solo
+  // *exclusive*: it runs alone (no concurrent queries), so the
+  // process-global trace instrumentation observes exactly what a solo
   // Executor run would emit — byte-identical traces are the contract.
   memtrace::TraceSink* trace_sink = nullptr;
 
@@ -117,12 +99,6 @@ struct QueryResponse {
   // optimized tree ran; shape hit: the cached revealed-size feedback
   // steered the rewrite).  False on a miss or with the cache disabled.
   bool plan_cache_hit = false;
-  // This response was copied from a same-batch execution of the *same
-  // plan object* instead of running again (see QueryService coalescing
-  // rule).  result/node_stats/executed_plan are the executed query's.
-  bool coalesced = false;
-  // How many queries the admission batch that carried this one held.
-  uint32_t batch_size = 1;
 };
 
 // A submitted query: the service resolves it exactly once; callers block
@@ -130,7 +106,7 @@ struct QueryResponse {
 class PendingQuery {
  public:
   PendingQuery(core::PlanPtr plan, std::string signature,
-               uint64_t input_rows, SessionOptions options);
+               SessionOptions options);
 
   // Blocks until the service resolves this query; repeat calls return the
   // same result.
@@ -140,7 +116,6 @@ class PendingQuery {
 
   const core::PlanPtr& plan() const { return plan_; }
   const std::string& signature() const { return signature_; }
-  uint64_t input_rows() const { return input_rows_; }
   const SessionOptions& options() const { return options_; }
   // Trace-sink queries run alone; see SessionOptions::trace_sink.
   bool exclusive() const { return options_.trace_sink != nullptr; }
@@ -165,7 +140,6 @@ class PendingQuery {
  private:
   const core::PlanPtr plan_;
   const std::string signature_;
-  const uint64_t input_rows_;
   const SessionOptions options_;
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   // Touched only by the owning worker / the queue lock, never concurrently.
@@ -179,13 +153,6 @@ class PendingQuery {
 struct AdmissionLimits {
   // Maximum queries waiting (not yet popped); TryEnqueue refuses beyond it.
   size_t queue_capacity = 64;
-  // Form same-signature batches (off = strict FIFO, batches of one).
-  bool batching = true;
-  // Largest batch, head included.
-  size_t max_batch = 8;
-  // Cap on a batch's summed public input rows — the padded capacity one
-  // admission is allowed to absorb.
-  uint64_t batch_capacity_rows = uint64_t{1} << 20;
   // Queue-pressure point where priority-aware shedding kicks in; 0 =
   // disabled (only the full-queue rejection applies).  QueryService
   // defaults it to 3/4 of queue_capacity (service/query_service.h).
@@ -194,8 +161,8 @@ struct AdmissionLimits {
   uint64_t shed_retry_after_ms = 25;
 };
 
-// The bounded queue + batch former.  Thread-safe; many producers
-// (Submit), many consumers (session workers).
+// The bounded FIFO.  Thread-safe; many producers (Submit), many consumers
+// (session workers).
 class AdmissionQueue {
  public:
   explicit AdmissionQueue(AdmissionLimits limits) : limits_(limits) {}
@@ -207,26 +174,24 @@ class AdmissionQueue {
   // Never blocks.
   Status TryEnqueue(std::shared_ptr<PendingQuery> query);
 
-  // Blocks until at least one query is available, then returns the head
-  // plus any same-signature batch mates per the limits (exclusive head ->
-  // batch of one).  Counts the batch in-flight until the matching
-  // FinishBatch.  Returns an empty vector only when the queue is closed
-  // *and* drained — the consumer's shutdown signal.
-  std::vector<std::shared_ptr<PendingQuery>> PopBatch();
+  // Blocks until a query is available, then removes and returns the head,
+  // counting it in flight until the matching Finish.  Returns nullptr only
+  // when the queue is closed *and* drained — the consumer's shutdown
+  // signal.
+  std::shared_ptr<PendingQuery> Pop();
 
-  // Ends the in-flight window a PopBatch opened.  `n` = that batch's size;
-  // a crashing worker must still call it (crash containment requeues
-  // first, then finishes).
-  void FinishBatch(size_t n);
+  // Ends the in-flight window a Pop opened.  A crashing worker must still
+  // call it (crash containment requeues first, then finishes).
+  void Finish();
 
-  // Re-admits queries at the *front* of the queue, preserving their order
-  // (used for worker-crash containment, so requeued queries don't pay the
-  // queue tail twice).  Works even when closed — the queries were already
-  // admitted once.  Does not count against queue_capacity: displacing
-  // admitted work would turn a worker crash into a client-visible shed.
-  void RequeueFront(std::vector<std::shared_ptr<PendingQuery>> queries);
+  // Re-admits a query at the *front* of the queue (used for worker-crash
+  // containment, so a requeued query doesn't pay the queue tail twice).
+  // Works even when closed — the query was already admitted once.  Does
+  // not count against queue_capacity: displacing admitted work would turn
+  // a worker crash into a client-visible shed.
+  void RequeueFront(std::shared_ptr<PendingQuery> query);
 
-  // Stops accepting; queued queries still drain through PopBatch.
+  // Stops accepting; queued queries still drain through Pop.
   void Close();
 
   // Blocks until no queries are queued *or* in flight, or `deadline`

@@ -5,9 +5,9 @@
 // hitting an injected fault will fail every time it runs, and re-admitting
 // it burns a session slot for the full oblivious O(n log n) cost before the
 // failure surfaces.  The breaker keys its state machine on
-// PlanShapeSignature — the same public normalization key the plan cache and
-// batcher use — so one misbehaving shape is quarantined without touching
-// the goodput of every other shape in flight.
+// PlanShapeSignature — the same public normalization key the plan cache
+// uses — so one misbehaving shape is quarantined without touching the
+// goodput of every other shape in flight.
 //
 // Classic three-state machine, but with *arrival-counted* cooldown instead
 // of wall-clock timers (the engine has no randomness or clocks in control

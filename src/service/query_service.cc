@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "common/backoff.h"
@@ -14,14 +13,6 @@
 namespace oblivdb::service {
 
 namespace {
-
-// Summed public scan sizes — the batch former's capacity currency.
-uint64_t SumScanRows(const core::PlanPtr& plan) {
-  if (plan->op == core::PlanOp::kScan) return plan->table.size();
-  uint64_t total = 0;
-  for (const core::PlanPtr& in : plan->inputs) total += SumScanRows(in);
-  return total;
-}
 
 double RemainingSeconds(
     const std::optional<std::chrono::steady_clock::time_point>& deadline) {
@@ -34,9 +25,6 @@ double RemainingSeconds(
 AdmissionLimits MakeLimits(const ServiceOptions& options) {
   AdmissionLimits limits;
   limits.queue_capacity = options.queue_capacity;
-  limits.batching = options.batch_admit;
-  limits.max_batch = options.max_batch;
-  limits.batch_capacity_rows = options.batch_capacity_rows;
   limits.shed_watermark =
       options.shed_watermark != 0
           ? options.shed_watermark
@@ -60,17 +48,6 @@ unsigned ServiceOptions::DefaultSessions() {
     return parsed == 0 ? 2u : parsed;
   }();
   return sessions;
-}
-
-bool ServiceOptions::DefaultBatchAdmit() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("OBLIVDB_BATCH_ADMIT");
-    if (env == nullptr) return true;
-    const std::string_view v(env);
-    if (v == "off" || v == "0" || v == "false") return false;
-    return true;  // unrecognized values cannot abort a run
-  }();
-  return enabled;
 }
 
 QueryService::QueryService(core::ExecContext base, ServiceOptions options)
@@ -232,8 +209,8 @@ StatusOr<std::shared_ptr<PendingQuery>> QueryService::Submit(
     breaker_rejected_.fetch_add(1, std::memory_order_relaxed);
     return gate;
   }
-  auto query = std::make_shared<PendingQuery>(
-      plan, std::move(signature), SumScanRows(plan), options);
+  auto query =
+      std::make_shared<PendingQuery>(plan, std::move(signature), options);
   const Status admitted = queue_.TryEnqueue(query);
   if (!admitted.ok()) {
     if (admitted.code() == StatusCode::kResourceExhausted) {
@@ -267,30 +244,25 @@ void QueryService::ReportOutcome(const PendingQuery& query,
   }
 }
 
-void QueryService::CrashWorker(
-    unsigned slot, std::vector<std::shared_ptr<PendingQuery>> batch) {
+void QueryService::CrashWorker(unsigned slot,
+                               std::shared_ptr<PendingQuery> query) {
   worker_crashes_.fetch_add(1, std::memory_order_relaxed);
-  const size_t popped = batch.size();
-  std::vector<std::shared_ptr<PendingQuery>> requeue;
-  for (std::shared_ptr<PendingQuery>& q : batch) {
-    if (q->crash_requeues() == 0) {
-      q->RecordCrashRequeue();
-      crash_requeues_.fetch_add(1, std::memory_order_relaxed);
-      requeue.push_back(std::move(q));
-    } else {
-      // At most one requeue per query: a query that outlives two workers
-      // stops cycling and surfaces the (retryable) failure to its client.
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      breaker_.OnAbandoned(q->signature());
-      q->Resolve(Status(StatusCode::kUnavailable,
-                        "session worker crashed twice under this query"));
-    }
+  if (query->crash_requeues() == 0) {
+    query->RecordCrashRequeue();
+    crash_requeues_.fetch_add(1, std::memory_order_relaxed);
+    // Requeue before closing the in-flight window so a concurrent
+    // Drain/WaitIdleFor never observes an empty-and-idle queue while this
+    // query is still owed an execution.
+    queue_.RequeueFront(std::move(query));
+  } else {
+    // At most one requeue per query: a query that outlives two workers
+    // stops cycling and surfaces the (retryable) failure to its client.
+    failed_.fetch_add(1, std::memory_order_relaxed);
+    breaker_.OnAbandoned(query->signature());
+    query->Resolve(Status(StatusCode::kUnavailable,
+                          "session worker crashed twice under this query"));
   }
-  // Requeue before closing the in-flight window so a concurrent
-  // Drain/WaitIdleFor never observes an empty-and-idle queue while these
-  // queries are still owed an execution.
-  queue_.RequeueFront(std::move(requeue));
-  queue_.FinishBatch(popped);
+  queue_.Finish();
 
   std::lock_guard<std::mutex> lock(slots_mu_);
   if (!accepting_respawns_) return;  // shutting down: no replacement
@@ -301,78 +273,44 @@ void QueryService::CrashWorker(
 void QueryService::SessionLoop(unsigned slot) {
   ThreadPool* slot_pool = slot_pools_[slot].get();
   while (true) {
-    std::vector<std::shared_ptr<PendingQuery>> batch = queue_.PopBatch();
-    if (batch.empty()) return;  // closed and drained
+    std::shared_ptr<PendingQuery> query = queue_.Pop();
+    if (query == nullptr) return;  // closed and drained
 
     // The worker_crash fault site: this worker dies as it picks up work.
-    // Polled once per popped batch — the decision is the injector's pure
-    // function of its arrival counter, never of the batch contents.
+    // Polled once per popped query — the decision is the injector's pure
+    // function of its arrival counter, never of the query's contents.
     if (FaultInjector::Global().ShouldFire(FaultSite::kWorkerCrash)) {
-      CrashWorker(slot, std::move(batch));
+      CrashWorker(slot, std::move(query));
       return;  // this thread's handle is retired; a replacement owns the slot
     }
 
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    if (batch.size() >= 2) {
-      batched_queries_.fetch_add(batch.size(), std::memory_order_relaxed);
-    }
-
-    // Exclusive (traced) batches own the engine; untraced batches share it.
-    // PopBatch guarantees exclusive queries arrive as batches of one.
+    // Exclusive (traced) queries own the engine; untraced ones share it.
     std::unique_lock<std::shared_mutex> exclusive_lock;
     std::shared_lock<std::shared_mutex> shared_lock;
-    if (batch.front()->exclusive()) {
+    if (query->exclusive()) {
       exclusive_lock = std::unique_lock<std::shared_mutex>(exec_mu_);
     } else {
       shared_lock = std::shared_lock<std::shared_mutex>(exec_mu_);
     }
 
-    // Same-plan-object members coalesce onto the first execution's
-    // response (deterministic pipeline + identical inputs => identical
-    // outputs); members with private sinks always execute for real.
-    std::vector<std::pair<const core::PlanNode*, QueryResponse>> executed;
-    const uint32_t batch_size = static_cast<uint32_t>(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      PendingQuery& q = *batch[i];
-      const SessionOptions& opts = q.options();
-
-      if (opts.cancel_token != nullptr && opts.cancel_token->cancelled()) {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        breaker_.OnAbandoned(q.signature());
-        q.Resolve(Status(StatusCode::kCancelled,
-                         "query cancelled before execution"));
-        continue;
-      }
-      if (q.deadline().has_value() && RemainingSeconds(q.deadline()) <= 0) {
-        rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        breaker_.OnAbandoned(q.signature());
-        q.Resolve(Status(StatusCode::kDeadlineExceeded,
-                         "deadline expired before admission"));
-        continue;
-      }
-
-      if (opts.stats_sink == nullptr && opts.trace_sink == nullptr) {
-        const auto it = std::find_if(
-            executed.begin(), executed.end(),
-            [&](const auto& e) { return e.first == q.plan().get(); });
-        if (it != executed.end()) {
-          QueryResponse copy = it->second;
-          copy.coalesced = true;
-          coalesced_.fetch_add(1, std::memory_order_relaxed);
-          completed_.fetch_add(1, std::memory_order_relaxed);
-          breaker_.OnSuccess(q.signature());
-          q.Resolve(std::move(copy));
-          continue;
-        }
-      }
-
-      StatusOr<QueryResponse> response = ExecuteQuery(q, slot_pool, batch_size);
+    PendingQuery& q = *query;
+    const SessionOptions& opts = q.options();
+    if (opts.cancel_token != nullptr && opts.cancel_token->cancelled()) {
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      breaker_.OnAbandoned(q.signature());
+      q.Resolve(
+          Status(StatusCode::kCancelled, "query cancelled before execution"));
+    } else if (q.deadline().has_value() &&
+               RemainingSeconds(q.deadline()) <= 0) {
+      rejected_deadline_.fetch_add(1, std::memory_order_relaxed);
+      failed_.fetch_add(1, std::memory_order_relaxed);
+      breaker_.OnAbandoned(q.signature());
+      q.Resolve(Status(StatusCode::kDeadlineExceeded,
+                       "deadline expired before admission"));
+    } else {
+      StatusOr<QueryResponse> response = ExecuteQuery(q, slot_pool);
       if (response.ok()) {
         completed_.fetch_add(1, std::memory_order_relaxed);
-        if (i + 1 < batch.size()) {
-          executed.emplace_back(q.plan().get(), *response);  // keep a copy
-        }
       } else {
         failed_.fetch_add(1, std::memory_order_relaxed);
         if (response.status().code() == StatusCode::kCancelled &&
@@ -383,13 +321,12 @@ void QueryService::SessionLoop(unsigned slot) {
       ReportOutcome(q, response.ok() ? Status::Ok() : response.status());
       q.Resolve(std::move(response));
     }
-    queue_.FinishBatch(batch.size());
+    queue_.Finish();
   }
 }
 
 StatusOr<QueryResponse> QueryService::ExecuteQuery(const PendingQuery& query,
-                                                   ThreadPool* slot_pool,
-                                                   uint32_t batch_size) {
+                                                   ThreadPool* slot_pool) {
   core::ExecContext ctx = MakeSessionContext(query.options());
   ctx.pool = slot_pool;
   // Every service execution also answers to the drain token; the client's
@@ -497,8 +434,6 @@ StatusOr<QueryResponse> QueryService::ExecuteQuery(const PendingQuery& query,
     response.node_stats = executor.node_stats();
     response.executed_plan = executor.executed_plan();
     response.plan_cache_hit = cache_hit;
-    response.coalesced = false;
-    response.batch_size = batch_size;
     return response;
   }
   return last;
@@ -513,9 +448,6 @@ QueryService::Counters QueryService::counters() const {
   c.rejected_deadline = rejected_deadline_.load(std::memory_order_relaxed);
   c.plan_cache_hits = plan_cache_hits_.load(std::memory_order_relaxed);
   c.plan_cache_misses = plan_cache_misses_.load(std::memory_order_relaxed);
-  c.coalesced = coalesced_.load(std::memory_order_relaxed);
-  c.batches = batches_.load(std::memory_order_relaxed);
-  c.batched_queries = batched_queries_.load(std::memory_order_relaxed);
   c.retries = retries_.load(std::memory_order_relaxed);
   c.retry_successes = retry_successes_.load(std::memory_order_relaxed);
   c.worker_crashes = worker_crashes_.load(std::memory_order_relaxed);

@@ -5,8 +5,8 @@
 // with a private worker-thread budget carved out of the global pool (the
 // ForShard discipline of core/shard.h, lifted one level: workers / N
 // threads per session), and pushes every submitted query through a
-// bounded admission queue (service/admission.h).  Three layers make the
-// multiplexing both *safe* and *fast*:
+// bounded FIFO admission queue (service/admission.h).  Two layers make
+// the multiplexing both *safe* and *fast*:
 //
 //   1. Session isolation.  Each query runs under a private ExecContext
 //      clone of the service's base: its own stats/trace sinks, its own
@@ -27,14 +27,6 @@
 //      (identity hits) and revealed-size feedback (shape hits).  Hits
 //      change wall time, never a trace or an output.
 //
-//   3. Batched admission.  Same-signature queries admit as one batch and
-//      run back-to-back on one session with every shape-keyed artifact
-//      warm; queries over the *same plan object* (and no private sinks)
-//      coalesce to a single execution whose response is copied out —
-//      legal precisely because equal plan pointers mean equal inputs and
-//      the pipeline is deterministic.  Batching is shape-gated, so the
-//      admission schedule is a function of public signatures and sizes.
-//
 // Traced queries are exclusive: the trace instrumentation is
 // process-global (memtrace/trace.h — one sink pointer, one array-id
 // counter touched by every OArray), so a query with a trace_sink takes
@@ -54,11 +46,11 @@
 //     fresh solo run.  Cancellation and deadline expiry never retry.
 //
 //   * Worker-crash containment.  The worker_crash fault site
-//     (common/fault.h) kills a session worker as it picks up a batch; the
-//     dying worker requeues its batch at the queue front (each query at
-//     most once — a twice-orphaned query resolves kUnavailable), retires
-//     its own thread handle, and respawns the slot.  Other sessions'
-//     stats/trace isolation is untouched.
+//     (common/fault.h) kills a session worker as it picks up a query; the
+//     dying worker requeues the query at the queue front (at most once — a
+//     twice-orphaned query resolves kUnavailable), retires its own thread
+//     handle, and respawns the slot.  Other sessions' stats/trace
+//     isolation is untouched.
 //
 //   * Overload protection.  A per-plan-shape circuit breaker
 //     (service/breaker.h) fast-fails Submit for shapes with
@@ -76,9 +68,9 @@
 //
 // Knobs: OBLIVDB_SERVICE_SESSIONS (worker count, default 2),
 // OBLIVDB_PLAN_CACHE (off = disable both cache layers' defaults),
-// OBLIVDB_BATCH_ADMIT (off = strict FIFO), OBLIVDB_FAULT_SPEC (validated
-// at Create — a malformed spec fails startup with kInvalidArgument instead
-// of silently running un-faulted).  All public configuration.
+// OBLIVDB_FAULT_SPEC (validated at Create — a malformed spec fails startup
+// with kInvalidArgument instead of silently running un-faulted).  All
+// public configuration.
 
 #ifndef OBLIVDB_SERVICE_QUERY_SERVICE_H_
 #define OBLIVDB_SERVICE_QUERY_SERVICE_H_
@@ -108,9 +100,8 @@ struct ServiceOptions {
   // Concurrent session workers: OBLIVDB_SERVICE_SESSIONS when set to a
   // positive integer, else 2.
   static unsigned DefaultSessions();
-  // Batched admission default: OBLIVDB_BATCH_ADMIT off/0/false disables,
-  // anything else (including unset) enables.
-  static bool DefaultBatchAdmit();
+  // Always false (admission is strict FIFO); exists only for the benchmark.
+  static constexpr bool DefaultBatchAdmit() { return false; }
 
   unsigned sessions = DefaultSessions();
   size_t queue_capacity = 64;
@@ -119,9 +110,6 @@ struct ServiceOptions {
   // Defaults to the OBLIVDB_PLAN_CACHE-driven process default.
   bool plan_cache = obliv::ArtifactCache::DefaultEnabled();
   size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
-  bool batch_admit = DefaultBatchAdmit();
-  size_t max_batch = 8;
-  uint64_t batch_capacity_rows = uint64_t{1} << 20;
 
   // Transparent re-execution of retryable failures (service/retry.h);
   // max_attempts <= 1 disables.
@@ -208,9 +196,7 @@ class QueryService {
     uint64_t rejected_deadline = 0;  // expired while waiting for admission
     uint64_t plan_cache_hits = 0;
     uint64_t plan_cache_misses = 0;
-    uint64_t coalesced = 0;
-    uint64_t batches = 0;
-    uint64_t batched_queries = 0;  // queries admitted in batches of >= 2
+    uint64_t batched_queries = 0;  // always 0; read only by the benchmark
     // Resilience-layer counters.
     uint64_t retries = 0;          // re-execution attempts after a failure
     uint64_t retry_successes = 0;  // queries rescued by a later attempt
@@ -234,12 +220,10 @@ class QueryService {
  private:
   void SessionLoop(unsigned slot);
   StatusOr<QueryResponse> ExecuteQuery(const PendingQuery& query,
-                                       ThreadPool* slot_pool,
-                                       uint32_t batch_size);
-  // The worker_crash containment path: requeues the batch (at most once
-  // per query), retires this worker's thread handle, respawns the slot.
-  void CrashWorker(unsigned slot,
-                   std::vector<std::shared_ptr<PendingQuery>> batch);
+                                       ThreadPool* slot_pool);
+  // The worker_crash containment path: requeues the query (at most once),
+  // retires this worker's thread handle, respawns the slot.
+  void CrashWorker(unsigned slot, std::shared_ptr<PendingQuery> query);
   // Outcome bookkeeping shared by SessionLoop's resolution paths.
   void ReportOutcome(const PendingQuery& query, const Status& status);
 
@@ -281,9 +265,6 @@ class QueryService {
   std::atomic<uint64_t> rejected_deadline_{0};
   std::atomic<uint64_t> plan_cache_hits_{0};
   std::atomic<uint64_t> plan_cache_misses_{0};
-  std::atomic<uint64_t> coalesced_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batched_queries_{0};
   std::atomic<uint64_t> retries_{0};
   std::atomic<uint64_t> retry_successes_{0};
   std::atomic<uint64_t> worker_crashes_{0};

@@ -283,7 +283,7 @@ TEST(TransparentRetryTest, SinkCarryingQueriesNeverRetryTransparently) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker-crash containment: the dying worker requeues its batch, respawns
+// Worker-crash containment: the dying worker requeues its query, respawns
 // its slot, and the rerun is byte-identical.
 
 TEST(WorkerCrashTest, CrashedWorkerRequeuesRespawnsAndReruns) {
@@ -481,14 +481,13 @@ TEST(ServiceBreakerTest, OpenCircuitFastFailsSubmitThenRecovers) {
 std::shared_ptr<PendingQuery> MakePending(int32_t priority) {
   SessionOptions sess;
   sess.priority = priority;
-  return std::make_shared<PendingQuery>(
-      core::Scan(FactTable("q", 8, 4, 1)), "sig", 8, sess);
+  return std::make_shared<PendingQuery>(core::Scan(FactTable("q", 8, 4, 1)),
+                                        "sig", sess);
 }
 
 TEST(LoadShedTest, WatermarkShedsOnlyByPriority) {
   AdmissionLimits limits;
   limits.queue_capacity = 4;
-  limits.batching = false;
   limits.shed_watermark = 2;
   limits.shed_retry_after_ms = 9;
   AdmissionQueue queue(limits);

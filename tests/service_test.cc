@@ -1,9 +1,9 @@
 // The concurrent query service (service/query_service.h): session
 // isolation must be airtight — byte-identical outputs and traces vs solo
-// Executor runs across every cache/batching/session-count setting, fully
-// private telemetry, and per-query cancellation/deadline/queue-full
-// rejection that never perturbs a neighbour — while the shape-keyed plan
-// and artifact caches and batched admission change only wall time.
+// Executor runs across every cache/session-count setting, fully private
+// telemetry, strict FIFO admission, and per-query cancellation/deadline/
+// queue-full rejection that never perturbs a neighbour — while the
+// shape-keyed plan and artifact caches change only wall time.
 
 #include <gtest/gtest.h>
 
@@ -92,10 +92,10 @@ std::vector<PlanPtr> Workload() {
 }
 
 // ---------------------------------------------------------------------------
-// Byte identity: every cache x batching x session-count combination must
-// return exactly what a solo Executor returns.
+// Byte identity: every cache x session-count combination must return
+// exactly what a solo Executor returns.
 
-TEST(QueryServiceTest, ByteIdenticalAcrossCacheBatchingAndSessions) {
+TEST(QueryServiceTest, ByteIdenticalAcrossCacheAndSessions) {
   const std::vector<PlanPtr> plans = Workload();
 
   // Solo references, computed under the same session context the service
@@ -112,30 +112,26 @@ TEST(QueryServiceTest, ByteIdenticalAcrossCacheBatchingAndSessions) {
   }
 
   for (const bool cache_on : {false, true}) {
-    for (const bool batch_on : {false, true}) {
-      for (const unsigned sessions : {1u, 4u}) {
-        PrivateCacheContext base;
-        ServiceOptions opts;
-        opts.sessions = sessions;
-        opts.plan_cache = cache_on;
-        opts.batch_admit = batch_on;
-        QueryService svc(base.ctx, opts);
-        // Two rounds so the second hits every warm cache path.
-        for (int round = 0; round < 2; ++round) {
-          std::vector<std::shared_ptr<PendingQuery>> pending;
-          for (const PlanPtr& p : plans) {
-            auto submitted = svc.Submit(p);
-            ASSERT_TRUE(submitted.ok());
-            pending.push_back(*submitted);
-          }
-          for (size_t i = 0; i < pending.size(); ++i) {
-            const StatusOr<QueryResponse>& r = pending[i]->Wait();
-            ASSERT_TRUE(r.ok()) << r.status().ToString();
-            EXPECT_EQ(r->result.table.rows(), expected[i])
-                << "cache=" << cache_on << " batch=" << batch_on
-                << " sessions=" << sessions << " round=" << round
-                << " plan=" << i;
-          }
+    for (const unsigned sessions : {1u, 4u}) {
+      PrivateCacheContext base;
+      ServiceOptions opts;
+      opts.sessions = sessions;
+      opts.plan_cache = cache_on;
+      QueryService svc(base.ctx, opts);
+      // Two rounds so the second hits every warm cache path.
+      for (int round = 0; round < 2; ++round) {
+        std::vector<std::shared_ptr<PendingQuery>> pending;
+        for (const PlanPtr& p : plans) {
+          auto submitted = svc.Submit(p);
+          ASSERT_TRUE(submitted.ok());
+          pending.push_back(*submitted);
+        }
+        for (size_t i = 0; i < pending.size(); ++i) {
+          const StatusOr<QueryResponse>& r = pending[i]->Wait();
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          EXPECT_EQ(r->result.table.rows(), expected[i])
+              << "cache=" << cache_on << " sessions=" << sessions
+              << " round=" << round << " plan=" << i;
         }
       }
     }
@@ -315,7 +311,7 @@ TEST(AdmissionQueueTest, FullQueueRefusesWithResourceExhausted) {
   AdmissionQueue queue(limits);
   auto make = [](uint64_t v) {
     return std::make_shared<PendingQuery>(
-        core::Distinct(core::Scan(FactTable("q", 8, 4, v))), "sig", 8,
+        core::Distinct(core::Scan(FactTable("q", 8, 4, v))), "sig",
         SessionOptions{});
   };
   EXPECT_TRUE(queue.TryEnqueue(make(1)).ok());
@@ -326,10 +322,9 @@ TEST(AdmissionQueueTest, FullQueueRefusesWithResourceExhausted) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch formation: same-signature entries join the head, other shapes
-// keep their FIFO slots, exclusive (traced) queries ride alone.
+// Strict FIFO: shape and tracing never reorder the queue.
 
-TEST(AdmissionQueueTest, PopBatchGroupsSameSignatureAndSkipsOthers) {
+TEST(AdmissionQueueTest, PopIsStrictArrivalOrder) {
   AdmissionLimits limits;
   limits.queue_capacity = 8;
   AdmissionQueue queue(limits);
@@ -337,52 +332,30 @@ TEST(AdmissionQueueTest, PopBatchGroupsSameSignatureAndSkipsOthers) {
     SessionOptions sess;
     static memtrace::CountingTraceSink sink;
     if (traced) sess.trace_sink = &sink;
-    return std::make_shared<PendingQuery>(
-        core::Scan(FactTable("q", 8, 4, 1)), sig, 8, sess);
+    return std::make_shared<PendingQuery>(core::Scan(FactTable("q", 8, 4, 1)),
+                                          sig, sess);
   };
-  auto a1 = make("X", false);
-  auto b = make("Y", false);
-  auto a2 = make("X", false);
-  auto t = make("X", true);
-  ASSERT_TRUE(queue.TryEnqueue(a1).ok());
-  ASSERT_TRUE(queue.TryEnqueue(b).ok());
-  ASSERT_TRUE(queue.TryEnqueue(a2).ok());
-  ASSERT_TRUE(queue.TryEnqueue(t).ok());
+  // Same-signature, other-signature and traced entries, interleaved.
+  const std::vector<std::shared_ptr<PendingQuery>> arrivals = {
+      make("X", false), make("Y", false), make("X", false), make("X", true),
+      make("Y", false)};
+  for (const auto& q : arrivals) ASSERT_TRUE(queue.TryEnqueue(q).ok());
 
-  // Head a1 pulls a2 past b; the traced X query never joins a batch.
-  auto batch1 = queue.PopBatch();
-  ASSERT_EQ(batch1.size(), 2u);
-  EXPECT_EQ(batch1[0], a1);
-  EXPECT_EQ(batch1[1], a2);
-  auto batch2 = queue.PopBatch();
-  ASSERT_EQ(batch2.size(), 1u);
-  EXPECT_EQ(batch2[0], b);
-  auto batch3 = queue.PopBatch();
-  ASSERT_EQ(batch3.size(), 1u);
-  EXPECT_EQ(batch3[0], t);
+  for (const auto& expected : arrivals) {
+    EXPECT_EQ(queue.Pop(), expected);
+    EXPECT_EQ(queue.in_flight(), 1u);
+    queue.Finish();
+  }
+  EXPECT_EQ(queue.in_flight(), 0u);
   queue.Close();
-  EXPECT_TRUE(queue.PopBatch().empty());
-}
-
-TEST(AdmissionQueueTest, BatchCapacityRowsBoundsTheBatch) {
-  AdmissionLimits limits;
-  limits.queue_capacity = 8;
-  limits.batch_capacity_rows = 20;  // head 8 + one 8-row mate fits; not two
-  AdmissionQueue queue(limits);
-  auto make = [] {
-    return std::make_shared<PendingQuery>(
-        core::Scan(FactTable("q", 8, 4, 1)), "X", 8, SessionOptions{});
-  };
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(queue.TryEnqueue(make()).ok());
-  EXPECT_EQ(queue.PopBatch().size(), 2u);
-  EXPECT_EQ(queue.PopBatch().size(), 1u);
+  EXPECT_EQ(queue.Pop(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
-// Same-plan-object batch members coalesce onto one execution.
+// Queued queries fail alone.
 
-// Blocks the first query so later submissions can pile into the queue and
-// form a batch deterministically.
+// Blocks the first query so later submissions pile up in the queue
+// deterministically.
 struct Gate {
   std::mutex mu;
   std::condition_variable cv;
@@ -405,60 +378,11 @@ struct Gate {
   }
 };
 
-TEST(QueryServiceTest, SamePlanObjectQueriesCoalesceWithinABatch) {
-  auto gate = std::make_shared<Gate>();
-  const PlanPtr blocker = core::Select(
-      core::Scan(FactTable("fb", 16, 4, 1)),
-      [gate](const Record& r) {
-        gate->Enter();
-        return KeyBelow(r, 3);
-      },
-      /*key_only=*/false);
-  const PlanPtr repeated = core::Join(core::Scan(FactTable("fr", 64, 8, 2)),
-                                      KeyUniqueScan(DimTable("dr", 8, 2)));
+// A queued query whose deadline lapsed while it waited fails alone: only it
+// resolves kDeadlineExceeded, and the same-shape queries queued around it
+// return responses byte-identical to a solo run.
 
-  PrivateCacheContext base;
-  ServiceOptions opts;
-  opts.sessions = 1;  // one worker: the blocker pins it while we enqueue
-  opts.batch_admit = true;  // pinned: the test is about batch coalescing
-  QueryService svc(base.ctx, opts);
-
-  std::vector<Record> expected;
-  {
-    Executor ex(svc.MakeSessionContext(SessionOptions{}));
-    expected = ex.Execute(repeated).table.rows();
-  }
-
-  auto pb = svc.Submit(blocker);
-  ASSERT_TRUE(pb.ok());
-  gate->AwaitEntered();  // worker is now inside the blocker's predicate
-
-  std::vector<std::shared_ptr<PendingQuery>> batchmates;
-  for (int i = 0; i < 3; ++i) {
-    auto p = svc.Submit(repeated);
-    ASSERT_TRUE(p.ok());
-    batchmates.push_back(*p);
-  }
-  gate->Open();
-
-  ASSERT_TRUE((*pb)->Wait().ok());
-  uint64_t coalesced = 0;
-  for (const auto& p : batchmates) {
-    const StatusOr<QueryResponse>& r = p->Wait();
-    ASSERT_TRUE(r.ok());
-    EXPECT_EQ(r->result.table.rows(), expected);
-    EXPECT_EQ(r->batch_size, 3u);
-    if (r->coalesced) ++coalesced;
-  }
-  EXPECT_EQ(coalesced, 2u);  // one real execution, two copies
-  EXPECT_EQ(svc.counters().coalesced, 2u);
-}
-
-// A batch member whose deadline lapsed while it queued fails alone: only it
-// resolves kDeadlineExceeded, and its batchmates' responses are
-// byte-identical to a solo run.
-
-TEST(QueryServiceTest, ExpiredBatchMemberFailsAloneWithinItsBatch) {
+TEST(QueryServiceTest, ExpiredQueuedQueryFailsAlone) {
   auto gate = std::make_shared<Gate>();
   const PlanPtr blocker = core::Select(
       core::Scan(FactTable("fb", 16, 4, 1)),
@@ -473,7 +397,6 @@ TEST(QueryServiceTest, ExpiredBatchMemberFailsAloneWithinItsBatch) {
   PrivateCacheContext base;
   ServiceOptions opts;
   opts.sessions = 1;
-  opts.batch_admit = true;
   QueryService svc(base.ctx, opts);
 
   std::vector<Record> expected;
@@ -486,7 +409,7 @@ TEST(QueryServiceTest, ExpiredBatchMemberFailsAloneWithinItsBatch) {
   ASSERT_TRUE(pb.ok());
   gate->AwaitEntered();
 
-  // Three same-shape members queue behind the blocker; the middle one's
+  // Three same-shape queries queue behind the blocker; the middle one's
   // deadline expires while it waits (the blocker holds the only worker).
   auto first = svc.Submit(repeated);
   SessionOptions doomed;
@@ -507,10 +430,8 @@ TEST(QueryServiceTest, ExpiredBatchMemberFailsAloneWithinItsBatch) {
     const StatusOr<QueryResponse>& r = p->Wait();
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->result.table.rows(), expected);
-    EXPECT_EQ(r->batch_size, 3u);
   }
   EXPECT_EQ(svc.counters().rejected_deadline, 1u);
-  EXPECT_EQ(svc.counters().coalesced, 1u);  // `last` copied `first`'s run
   EXPECT_EQ(svc.counters().completed, 3u);  // blocker + two survivors
   EXPECT_EQ(svc.counters().failed, 1u);
 }

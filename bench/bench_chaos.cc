@@ -54,8 +54,6 @@
 #include "core/exec_context.h"
 #include "core/plan.h"
 #include "memtrace/sinks.h"
-#include "obliv/artifact_cache.h"
-#include "obliv/sort_kernel.h"
 #include "service/query_service.h"
 
 namespace {
@@ -92,11 +90,9 @@ Table DimTable(const std::string& name, size_t n, uint64_t seed) {
   return t;
 }
 
-ExecContext BaseContext(obliv::ArtifactCache* cache) {
+ExecContext BaseContext() {
   ExecContext ctx;
-  ctx.sort_policy = obliv::SortPolicy::kTagSort;
   ctx.optimize = true;
-  ctx.artifact_cache = cache;
   return ctx;
 }
 
@@ -140,13 +136,12 @@ VariantResult RunVariant(const VariantSpec& spec,
   const FaultCounters before = FaultInjector::Global().Snapshot();
   FaultInjector::Global().Configure(parsed, kDefaultFaultSeed);
 
-  obliv::ArtifactCache cache;
   ServiceOptions opts;
   opts.sessions = 4;
   opts.plan_cache = true;
   opts.retry.max_attempts = 3;
   opts.retry.backoff.base_ms = 0;  // immediate retries: deterministic timing
-  QueryService svc(BaseContext(&cache), opts);
+  QueryService svc(BaseContext(), opts);
 
   VariantResult out;
   Timer timer;
@@ -246,8 +241,7 @@ int main(int argc, char** argv) {
   std::vector<Record> expected;
   std::string expected_trace;
   {
-    obliv::ArtifactCache ref_cache;
-    ExecContext ctx = BaseContext(&ref_cache);
+    ExecContext ctx = BaseContext();
     memtrace::HashTraceSink sink;
     ctx.trace_sink = &sink;
     Executor ex(ctx);

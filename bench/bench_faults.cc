@@ -14,10 +14,10 @@
 //       mac_retry           decrypt_mac:0.01 over a full encrypted read
 //                           pass (bounded in-place retries),
 //       pool_spawn_degrade  pool_spawn:1 refusing every fan-out of a
-//                           kTagSort join on a 4-worker pool, so each
-//                           sort runs the sequential kTagSort kernel
-//                           (degradations recorded; output and trace
-//                           hash must match the clean run),
+//                           join on a 4-worker pool, so each sort runs
+//                           the sequential blocked kernel (degradations
+//                           recorded; output and trace hash must match
+//                           the clean run),
 //       epc_degrade         epc_evict:once halving a forced 4-shard join
 //                           to 2 shards;
 //   * cancellation (smoke) — a pre-cancelled token must surface
@@ -133,8 +133,8 @@ std::string JoinTraceHash(const workload::TestCase& tc,
   return sink.HexDigest();
 }
 
-// pool_spawn_degrade: every spawn probe refused, so each kTagSort sort of
-// a join on a 4-worker pool runs the sequential kernel of the same tier.
+// pool_spawn_degrade: every spawn probe refused, so each sort of a join on
+// a 4-worker pool runs the sequential blocked kernel.
 // The row passes when degradations were recorded and the output and the
 // trace hash equal the clean run's.
 RecoveryRow BenchPoolSpawnDegrade(size_t n, int reps) {
@@ -144,7 +144,6 @@ RecoveryRow BenchPoolSpawnDegrade(size_t n, int reps) {
   const workload::TestCase traced = workload::OneToOne(size_t{1} << 13, 8);
   ThreadPool pool(4);
   core::ExecContext ctx;
-  ctx.sort_policy = obliv::SortPolicy::kTagSort;
   ctx.pool = &pool;
 
   std::vector<JoinedRecord> clean_rows, faulty_rows;

@@ -1,32 +1,30 @@
 // Query service benchmark (service/query_service.h): queries/sec as the
-// session count grows, and what the shape-keyed caches buy on repeated
-// same-shape queries.
+// session count grows, and what the shape-keyed plan cache buys on
+// repeated same-shape queries.
 //
 // Workload: Q submissions of the same join shape (distinct plan objects
-// over identical public sizes — the repeated-dashboard-query pattern), run
-// under the tag-sort tier (obliv::SortPolicy::kTagSort: the Beneš-planning
-// tier, so the artifact cache has real switch plans to reuse).  Variants:
+// over identical public sizes — the repeated-dashboard-query pattern).
+// Variants:
 //
-//   * sessions1_nocache   — 1 session, caches off, FIFO: the baseline;
-//   * sessions1_cache     — 1 session, caches on: the pure artifact +
-//                           plan-cache speedup (same schedule);
-//   * sessions2_cache     — 2 concurrent sessions, caches on;
-//   * sessions4_cache     — 4 concurrent sessions, caches on.
+//   * sessions1_nocache   — 1 session, plan cache off, FIFO: the baseline;
+//   * sessions1_cache     — 1 session, plan cache on: the pure plan-cache
+//                           speedup (same schedule);
+//   * sessions2_cache     — 2 concurrent sessions, plan cache on;
+//   * sessions4_cache     — 4 concurrent sessions, plan cache on.
 //
 // Every variant byte-compares each response against a direct solo
 // Executor reference — concurrency and caching must never change a bit.
 //
 // Emits JSON to stdout (bench/run_benches.sh captures it as
 // BENCH_service.json): per variant the wall seconds, queries/sec, and the
-// cache counters; the header carries the thread budget and the
-// cache-on hit rates.
+// plan-cache counters; the header carries the thread budget and the
+// cache-on hit rate.
 //
 //   bench_service [--smoke]
 //
 // --smoke: tiny sizes; verifies byte-identical outputs across every
-// variant, that the cache-on rows actually hit both caches and the
-// cache-off row hits neither; exits nonzero on any mismatch
-// (bench/smoke.sh runs this).
+// variant and that the cache-on rows actually hit the plan cache; exits
+// nonzero on any mismatch (bench/smoke.sh runs this).
 
 #include <cinttypes>
 #include <cstdio>
@@ -40,8 +38,6 @@
 #include "common/timer.h"
 #include "core/exec_context.h"
 #include "core/plan.h"
-#include "obliv/artifact_cache.h"
-#include "obliv/sort_kernel.h"
 #include "service/query_service.h"
 
 namespace {
@@ -77,11 +73,9 @@ Table DimTable(const std::string& name, size_t n, uint64_t seed) {
   return t;
 }
 
-ExecContext BaseContext(obliv::ArtifactCache* cache) {
+ExecContext BaseContext() {
   ExecContext ctx;
-  ctx.sort_policy = obliv::SortPolicy::kTagSort;  // the Beneš-planning tier
   ctx.optimize = true;
-  ctx.artifact_cache = cache;
   return ctx;
 }
 
@@ -95,7 +89,6 @@ struct VariantResult {
   double seconds = 0;
   double qps = 0;
   unsigned session_workers = 0;
-  obliv::ArtifactCache::Stats artifact;
   QueryService::Counters counters;
   bool outputs_ok = true;
 };
@@ -103,11 +96,10 @@ struct VariantResult {
 VariantResult RunVariant(const VariantSpec& spec,
                          const std::vector<PlanPtr>& plans,
                          const std::vector<Record>& expected) {
-  obliv::ArtifactCache cache;  // private per variant: honest hit counts
   ServiceOptions opts;
   opts.sessions = spec.sessions;
   opts.plan_cache = spec.plan_cache;
-  QueryService svc(BaseContext(&cache), opts);
+  QueryService svc(BaseContext(), opts);
 
   VariantResult out;
   out.session_workers = svc.session_workers();
@@ -139,7 +131,6 @@ VariantResult RunVariant(const VariantSpec& spec,
   out.seconds = timer.ElapsedSeconds();
   out.qps = out.seconds > 0 ? static_cast<double>(plans.size()) / out.seconds
                             : 0.0;
-  out.artifact = cache.stats();
   out.counters = svc.counters();
   return out;
 }
@@ -155,7 +146,7 @@ int main(int argc, char** argv) {
   const size_t queries = smoke ? 6 : 16;
 
   // Q distinct plan objects over the *same* tables: same shape signature,
-  // same permutation content, so repeats exercise every cache layer.
+  // so repeats exercise the plan cache's shape hits.
   const Table fact = FactTable("fact", fact_n, keys, 101);
   const Table dim = DimTable("dim", dim_n, 202);
   std::vector<PlanPtr> plans;
@@ -168,8 +159,7 @@ int main(int argc, char** argv) {
   // Solo reference under the same knobs (cache irrelevant to bytes).
   std::vector<Record> expected;
   {
-    obliv::ArtifactCache ref_cache;
-    Executor ex(BaseContext(&ref_cache));
+    Executor ex(BaseContext());
     expected = ex.Execute(plans.front()).table.rows();
   }
 
@@ -187,39 +177,24 @@ int main(int argc, char** argv) {
     ok = ok && results.back().outputs_ok;
   }
 
-  // Smoke bars: cache-on rows must actually hit, the cache-off row must
-  // not, and the same-shape repeats must land in the plan cache.
+  // Smoke bar: the same-shape repeats must land in the plan cache.
   const VariantResult& nocache = results[0];
   const VariantResult& cached = results[1];
-  if (nocache.artifact.hits != 0 || nocache.artifact.misses != 0) {
-    std::fprintf(stderr, "FAIL: cache-off variant touched the artifact "
-                         "cache\n");
-    ok = false;
-  }
-  if (cached.artifact.hits == 0) {
-    std::fprintf(stderr, "FAIL: cache-on variant recorded no artifact "
-                         "hits\n");
-    ok = false;
-  }
   if (cached.counters.plan_cache_hits == 0) {
     std::fprintf(stderr, "FAIL: cache-on variant recorded no plan-cache "
                          "hits\n");
     ok = false;
   }
 
-  const uint64_t agg_hits = cached.artifact.hits;
-  const uint64_t agg_total = cached.artifact.hits + cached.artifact.misses;
   const uint64_t plan_total =
       cached.counters.plan_cache_hits + cached.counters.plan_cache_misses;
   std::printf(
       "{\n  \"bench\": \"service\",\n  \"threads\": %u,\n"
       "  \"smoke\": %s,\n  \"queries\": %zu,\n"
       "  \"fact_rows\": %zu,\n  \"dim_rows\": %zu,\n"
-      "  \"artifact_cache_hit_rate\": %.3f,\n"
       "  \"plan_cache_hit_rate\": %.3f,\n  \"variants\": [\n",
       ThreadPool::Global().worker_count(), smoke ? "true" : "false", queries,
       fact_n, dim_n,
-      agg_total > 0 ? static_cast<double>(agg_hits) / agg_total : 0.0,
       plan_total > 0
           ? static_cast<double>(cached.counters.plan_cache_hits) / plan_total
           : 0.0);
@@ -230,13 +205,12 @@ int main(int argc, char** argv) {
         "    {\"name\": \"%s\", \"sessions\": %u, \"session_workers\": %u, "
         "\"plan_cache\": %s,\n"
         "     \"seconds\": %.6f, \"queries_per_sec\": %.3f,\n"
-        "     \"artifact_hits\": %" PRIu64 ", \"artifact_misses\": %" PRIu64
-        ", \"plan_cache_hits\": %" PRIu64 ", \"plan_cache_misses\": %" PRIu64
+        "     \"plan_cache_hits\": %" PRIu64 ", \"plan_cache_misses\": %" PRIu64
         "}%s\n",
         spec.name, spec.sessions, r.session_workers,
-        spec.plan_cache ? "true" : "false", r.seconds, r.qps, r.artifact.hits,
-        r.artifact.misses, r.counters.plan_cache_hits,
-        r.counters.plan_cache_misses, i + 1 == results.size() ? "" : ",");
+        spec.plan_cache ? "true" : "false", r.seconds, r.qps,
+        r.counters.plan_cache_hits, r.counters.plan_cache_misses,
+        i + 1 == results.size() ? "" : ",");
   }
   std::printf("  ],\n  \"speedup_cache_over_nocache\": %.3f\n}\n",
               cached.seconds > 0 ? nocache.seconds / cached.seconds : 0.0);

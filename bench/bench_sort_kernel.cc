@@ -1,18 +1,15 @@
-// Sort-kernel perf trajectory: ns/element for every SortPolicy — reference
-// network, cache-blocked kernel (sequential and fanned out on the pool),
-// the key/payload-separated tag sort (likewise both ways) — at the element
-// widths that matter: the 16-byte (key, tag) microbenchmark shape AND the
-// pipeline's 72-byte Entry, where tag sort earns its keep (the 9-word
-// CondSwap is bandwidth-bound, so narrowing the network to 24-byte tags
-// plus one Beneš payload pass wins).  An "auto" row records both the cost
-// model's pick (the "resolved" field) and its measured time, so the JSON
-// shows whether kAuto chose the winning column.
+// Sort-kernel perf trajectory: ns/element for both SortPolicy values — the
+// reference network and the cache-blocked kernel — at the element widths
+// that matter: the 16-byte (key, tag) microbenchmark shape and the
+// pipeline's 72-byte Entry.  The blocked kernel runs sequentially
+// ("blocked") and on the task-parallel network with 1 and 8 task slots
+// ("blocked_tasks1", "blocked_tasks8").
 //
 //   build/bench_sort_kernel            # JSON to stdout
 //   build/bench_sort_kernel --smoke    # small-n sanity run (CI smoke target)
 //
 // bench/run_benches.sh records the full run in BENCH_sort.json.  The
-// parallel rows use the global pool (OBLIVDB_THREADS pins its size).
+// task-parallel rows use the global pool (OBLIVDB_THREADS pins its size).
 
 #include <cstdint>
 #include <cstdio>
@@ -37,11 +34,6 @@ struct Item {
 struct ItemKeyLess {
   uint64_t operator()(const Item& a, const Item& b) const {
     return ct::LessMask(a.key, b.key);
-  }
-
-  static constexpr size_t kSortKeyWords = 1;
-  static obliv::SortKey<1> SortKeyOf(const Item& it) {
-    return obliv::SortKey<1>{{it.key}};
   }
 };
 
@@ -72,22 +64,18 @@ double NsPerElement(double seconds, size_t n) {
 
 bool g_first = true;
 
-// `resolved` (optional): the concrete tier a kAuto run dispatched to.
 void Emit(const char* policy, unsigned threads, size_t elem_bytes, size_t n,
-          double seconds, const char* resolved = nullptr) {
+          double seconds) {
   std::printf("%s    {\"policy\": \"%s\", \"threads\": %u, "
               "\"elem_bytes\": %zu, \"n\": %zu, \"seconds\": %.6f, "
-              "\"ns_per_element\": %.2f",
+              "\"ns_per_element\": %.2f}",
               g_first ? "" : ",\n", policy, threads, elem_bytes, n, seconds,
               NsPerElement(seconds, n));
-  if (resolved != nullptr) std::printf(", \"resolved\": \"%s\"", resolved);
-  std::printf("}");
   g_first = false;
 }
 
 template <typename T, typename Less, typename MakeFn>
 void BenchWidth(size_t n, const Less& less, const MakeFn& make) {
-  const unsigned pool_threads = ThreadPool::Global().worker_count();
   Timer timer;
   {
     auto arr = make(n);
@@ -105,30 +93,8 @@ void BenchWidth(size_t n, const Less& less, const MakeFn& make) {
     auto arr = make(n);
     timer.Start();
     obliv::BitonicSortParallel(arr, less, threads);
-    Emit("blocked_parallel", threads, sizeof(T), n, timer.ElapsedSeconds());
-  }
-  {
-    auto arr = make(n);
-    ThreadPool serial(1);
-    timer.Start();
-    obliv::SortRange(arr, 0, n, less, obliv::SortPolicy::kTagSort,
-                     /*comparisons=*/nullptr, &serial);
-    Emit("tag", 1, sizeof(T), n, timer.ElapsedSeconds());
-  }
-  {
-    auto arr = make(n);
-    timer.Start();
-    obliv::SortRange(arr, 0, n, less, obliv::SortPolicy::kTagSort);
-    Emit("tag_parallel", pool_threads, sizeof(T), n, timer.ElapsedSeconds());
-  }
-  {
-    auto arr = make(n);
-    obliv::SortPolicy chosen = obliv::SortPolicy::kAuto;
-    timer.Start();
-    obliv::SortRange(arr, 0, n, less, obliv::SortPolicy::kAuto,
-                     /*comparisons=*/nullptr, /*pool=*/nullptr, &chosen);
-    Emit("auto", pool_threads, sizeof(T), n, timer.ElapsedSeconds(),
-         obliv::SortPolicyName(chosen));
+    Emit(threads == 1 ? "blocked_tasks1" : "blocked_tasks8", threads,
+         sizeof(T), n, timer.ElapsedSeconds());
   }
 }
 

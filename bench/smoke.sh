@@ -1,32 +1,29 @@
 #!/usr/bin/env bash
 # CI smoke pass: configure a warning-strict build (-Wall -Wextra -Werror —
 # any new warning fails the build), compile everything, and run the unit
-# suite eight times:
+# suite seven times:
 #
 #   1. stock defaults (kBlocked);
-#   2. SortPolicy::kAuto as the ExecContext default
-#      (OBLIVDB_SORT_POLICY=auto), so a cost-model dispatch regression
-#      cannot hide;
-#   3. order-aware sort elision pinned off (OBLIVDB_SORT_ELISION=off), so
+#   2. order-aware sort elision pinned off (OBLIVDB_SORT_ELISION=off), so
 #      both sides of the elision flag stay green;
-#   4. sharded execution forced (OBLIVDB_SHARDS=4), so every suite also
+#   3. sharded execution forced (OBLIVDB_SHARDS=4), so every suite also
 #      passes through the k-way partitioned pipelines;
-#   5. the plan optimizer pinned off (OBLIVDB_OPTIMIZE=off), so the
+#   4. the plan optimizer pinned off (OBLIVDB_OPTIMIZE=off), so the
 #      unrewritten plans stay byte-for-byte healthy on their own;
-#   6. an ASan+UBSan rebuild (-DOBLIVDB_SANITIZE=address,undefined) with
+#   5. an ASan+UBSan rebuild (-DOBLIVDB_SANITIZE=address,undefined) with
 #      fault injection live (OBLIVDB_FAULT_SPEC), so the recovery unwind
 #      paths are exercised leak- and UB-checked;
-#   7. a TSan rebuild (-DOBLIVDB_SANITIZE=thread) with the query service at
+#   6. a TSan rebuild (-DOBLIVDB_SANITIZE=thread) with the query service at
 #      4 concurrent sessions (OBLIVDB_SERVICE_SESSIONS=4), so the service's
-#      shared state — the admission queue, both cache layers, the
+#      shared state — the admission queue, the plan cache, the
 #      exclusive-trace lock — is exercised race-checked;
-#   8. chaos: the resilience fault set live (worker crashes + the transient
+#   7. chaos: the resilience fault set live (worker crashes + the transient
 #      environmental faults) at 4 sessions, plus the chaos harness, so
 #      crash containment, transparent retry and the circuit breaker absorb
 #      a real fault stream while every byte-identity assertion stays green.
 #
-# Between passes 5 and 6 it runs the repo benchmark's smoke mode, the
-# small-n sort / distribute / join-pipeline / shard / faults / optimizer /
+# Between passes 4 and 5 it runs the repo benchmark's smoke mode, the
+# small-n sort / join-pipeline / shard / faults / optimizer /
 # service benches and the query-plan demo (plan-vs-direct cross-check).
 #
 #   bench/smoke.sh [build-dir]      # default: build-smoke
@@ -40,23 +37,17 @@ cmake -B "$build_dir" -S "$repo_root" -DOBLIVDB_WERROR=ON >/dev/null
 cmake --build "$build_dir" -j "$(nproc)"
 # First pass: stock defaults.
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Second pass with the cost-model default: every operator sort now goes
-# through the kAuto resolution (pool pinned to 4 workers so the sorts fan
-# out and the model credits the pool's speedup, whatever the CI box's
-# core count).
-OBLIVDB_SORT_POLICY=auto OBLIVDB_THREADS=4 \
-  ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Third pass with order-aware sort elision pinned off: the no-hint /
+# Second pass with order-aware sort elision pinned off: the no-hint /
 # no-elision paths must stay byte-for-byte healthy on their own (the
 # default-on runs above already cover elision engaged).
 OBLIVDB_SORT_ELISION=off \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Fourth pass with sharded execution forced on every plan join/aggregate
+# Third pass with sharded execution forced on every plan join/aggregate
 # (core/shard.h): every suite must stay byte-for-byte green when the
 # operators run as k concurrent per-shard pipelines.
 OBLIVDB_SHARDS=4 OBLIVDB_THREADS=4 \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Fifth pass with the plan optimizer pinned off: every suite must stay
+# Fourth pass with the plan optimizer pinned off: every suite must stay
 # green when plans execute exactly as written (the default-on runs above
 # already cover the rewrite pass engaged).
 OBLIVDB_OPTIMIZE=off \
@@ -71,9 +62,6 @@ cmake --build "$build_dir" --target bench_smoke
 # The repo benchmark's own output checks: every workload at tiny sizes,
 # both modes, outputs checked and metric names matched to BENCHMARK.json.
 python3 "$repo_root/oblivbench/run.py" --smoke
-# Functional check of both PRP-undo strategies at every width (exits
-# nonzero on a misplaced element).
-"$build_dir/bench_distribute" --smoke >/dev/null
 # End-to-end chained-plan check: elision on vs. off must agree byte for
 # byte and the expected sorts must actually elide (exits nonzero if not).
 "$build_dir/bench_join_pipeline" --smoke >/dev/null
@@ -90,7 +78,7 @@ python3 "$repo_root/oblivbench/run.py" --smoke
 # cache/session-count variant, and the cache-on rows must hit.
 "$build_dir/bench_service" --smoke >/dev/null
 cmake --build "$build_dir" --target plan_smoke
-# Sixth pass: rebuild under ASan+UBSan and run the whole suite with a
+# Fifth pass: rebuild under ASan+UBSan and run the whole suite with a
 # low-rate transient-MAC fault stream live, so the retry and unwind
 # machinery runs sanitized.  robustness_test then re-runs alone under a
 # hotter multi-site spec (every-3rd EPC refusal, every-2nd spawn refusal).
@@ -107,9 +95,9 @@ if [ -x "$san_dir/robustness_test" ]; then
     "$san_dir/robustness_test" --gtest_brief=1
 fi
 OBLIVDB_FAULT_SPEC="decrypt_mac:0.01" "$san_dir/bench_faults" --smoke >/dev/null
-# Seventh pass: rebuild under TSan and run the suite with the query
+# Sixth pass: rebuild under TSan and run the suite with the query
 # service at 4 concurrent sessions, so session workers, the admission
-# queue, the plan/artifact caches and the shared-exclusive trace lock all
+# queue, the plan cache and the shared-exclusive trace lock all
 # run race-checked.  sort_kernel_test is excluded: its perf-bar assertion
 # (blocked >= 2x reference) compares wall times, which TSan's ~10x
 # instrumentation skew makes meaningless — every concurrency-bearing
@@ -122,7 +110,7 @@ OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   -E '^sort_kernel_test$'
 OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   "$tsan_dir/bench_service" --smoke >/dev/null
-# Eighth pass: chaos.  The whole suite runs with worker crashes and the
+# Seventh pass: chaos.  The whole suite runs with worker crashes and the
 # transient environmental faults live at 4 concurrent sessions — crash
 # containment requeues/respawns, transparent retry rescues transients, and
 # every byte-identity assertion must still hold.  (`alloc` stays out of

@@ -42,9 +42,9 @@ inline uint64_t MixSeed(uint64_t seed, uint64_t stream) {
 }
 
 // splitmix64 step: advances `state` and returns the next 64-bit value.
-// The deterministic filler for synthetic data (calibration probes, tests,
-// benches) — fast, seedable, and good enough where cryptographic quality
-// is not required (those callers use crypto/chacha20.h).
+// The deterministic filler for synthetic data (tests, benches) — fast,
+// seedable, and good enough where cryptographic quality is not required
+// (those callers use crypto/chacha20.h).
 inline uint64_t SplitMix64(uint64_t& state) {
   uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;

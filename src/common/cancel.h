@@ -13,7 +13,6 @@
 //                      and each merge of at least internal::kParallelCutoff
 //                      elements that an untraced fan-out runs on the
 //                      calling thread (obliv/parallel_sort.h);
-//   "benes_level"    — each level of a Beneš network application;
 //   "shard_pipeline" — each per-shard pipeline start.
 //
 // Between checkpoints the pipeline is non-interruptible, so a cancelled run

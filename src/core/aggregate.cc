@@ -60,21 +60,18 @@ std::vector<JoinGroupAggregate> ObliviousJoinAggregate(
   if (merge_entry) {
     if (!hints.left.Covers(OrderSpec::ByKey())) {
       obliv::SortRange(tc, 0, n1, ByJoinKeyThenTidLess{}, ctx.sort_policy,
-                       &stats.op_sort_comparisons, ctx.pool,
-                       &stats.op_sort_policy_chosen);
+                       &stats.op_sort_comparisons, ctx.pool);
     }
     if (!hints.right.Covers(OrderSpec::ByKey())) {
       obliv::SortRange(tc, n1, n2, ByJoinKeyThenTidLess{}, ctx.sort_policy,
-                       &stats.op_sort_comparisons, ctx.pool,
-                       &stats.op_sort_policy_chosen);
+                       &stats.op_sort_comparisons, ctx.pool);
     }
     obliv::ObliviousMergeRuns(tc, 0, n1, n2, ByJoinKeyThenTidLess{},
                               &stats.op_sort_comparisons, ctx.pool);
     ++stats.op_sorts_elided;
   } else {
     obliv::Sort(tc, ByJoinKeyThenTidLess{}, ctx.sort_policy,
-                &stats.op_sort_comparisons, ctx.pool,
-                &stats.op_sort_policy_chosen);
+                &stats.op_sort_comparisons, ctx.pool);
   }
 
   // Forward pass: per-group counters and payload-word-0 sums.  The sums are

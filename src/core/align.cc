@@ -8,7 +8,6 @@ namespace oblivdb::core {
 
 void AlignTable(memtrace::OArray<Entry>& s2, uint64_t m,
                 const ExecContext& ctx, uint64_t* sort_comparisons,
-                obliv::SortPolicy* sort_chosen,
                 const OrderHints& join_input_order, uint64_t* sorts_elided) {
   OBLIVDB_CHECK_LE(m, s2.size());
 
@@ -46,7 +45,7 @@ void AlignTable(memtrace::OArray<Entry>& s2, uint64_t m,
   }
 
   obliv::SortRange(s2, 0, m, ByJoinKeyThenAlignIndexLess{}, ctx.sort_policy,
-                   sort_comparisons, ctx.pool, sort_chosen);
+                   sort_comparisons, ctx.pool);
 }
 
 }  // namespace oblivdb::core

@@ -31,8 +31,7 @@ namespace oblivdb::core {
 
 // Reorders s2[0, m) in place.  ctx.sort_policy selects the sort
 // implementation; `sort_comparisons`, when non-null, accumulates the
-// alignment sort's compare-exchange count; `sort_chosen`, when non-null,
-// receives the tier SortRange actually ran (the kAuto resolution).
+// alignment sort's compare-exchange count.
 //
 // Order-aware elision: `join_input_order` carries the OrderSpecs of the
 // *join's* two input tables (the same hints ObliviousJoin received).  Mere
@@ -49,7 +48,6 @@ namespace oblivdb::core {
 void AlignTable(memtrace::OArray<Entry>& s2, uint64_t m,
                 const ExecContext& ctx = {},
                 uint64_t* sort_comparisons = nullptr,
-                obliv::SortPolicy* sort_chosen = nullptr,
                 const OrderHints& join_input_order = {},
                 uint64_t* sorts_elided = nullptr);
 

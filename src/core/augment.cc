@@ -69,8 +69,7 @@ constexpr size_t kSpanChunk = 256;
 AugmentResult AugmentTables(const Table& table1, const Table& table2,
                             const ExecContext& ctx,
                             uint64_t* sort_comparisons,
-                            const OrderHints& hints, uint64_t* sorts_elided,
-                            obliv::SortPolicy* sort_chosen) {
+                            const OrderHints& hints, uint64_t* sorts_elided) {
   const obliv::SortPolicy sort_policy = ctx.sort_policy;
   const size_t n1 = table1.size();
   const size_t n2 = table2.size();
@@ -118,22 +117,22 @@ AugmentResult AugmentTables(const Table& table1, const Table& table2,
   if (merge_entry) {
     if (!hints.left.Covers(OrderSpec::ByKey())) {
       obliv::SortRange(tc, 0, n1, ByJoinKeyThenTidLess{}, sort_policy,
-                       sort_comparisons, ctx.pool, sort_chosen);
+                       sort_comparisons, ctx.pool);
     }
     if (!hints.right.Covers(OrderSpec::ByKey())) {
       obliv::SortRange(tc, n1, n2, ByJoinKeyThenTidLess{}, sort_policy,
-                       sort_comparisons, ctx.pool, sort_chosen);
+                       sort_comparisons, ctx.pool);
     }
     obliv::ObliviousMergeRuns(tc, 0, n1, n2, ByJoinKeyThenTidLess{},
                               sort_comparisons, ctx.pool);
     if (sorts_elided != nullptr) ++*sorts_elided;
   } else {
     obliv::Sort(tc, ByJoinKeyThenTidLess{}, sort_policy, sort_comparisons,
-                ctx.pool, sort_chosen);
+                ctx.pool);
   }
   const uint64_t output_size = FillDimensions(tc);
   obliv::Sort(tc, ByTidThenJoinKeyThenDataLess{}, sort_policy,
-              sort_comparisons, ctx.pool, sort_chosen);
+              sort_comparisons, ctx.pool);
 
   // TC[0, n1) is now the augmented T1 and TC[n1, n) the augmented T2.
   AugmentResult result{memtrace::OArray<Entry>(n1, "T1aug"),

@@ -40,14 +40,12 @@ struct AugmentResult {
 // incremented.  The Fill-Dimensions passes are tie-order-insensitive, and
 // the second sort (by (tid, j, d), never elidable) canonicalizes the
 // arrangement, so the result is byte-identical to the unelided path.  All
-// decisions depend only on (hints, flag, sizes).  `sort_chosen`, when
-// non-null, receives the resolved tier of the sorts that still ran.
+// decisions depend only on (hints, flag, sizes).
 AugmentResult AugmentTables(const Table& table1, const Table& table2,
                             const ExecContext& ctx = {},
                             uint64_t* sort_comparisons = nullptr,
                             const OrderHints& hints = {},
-                            uint64_t* sorts_elided = nullptr,
-                            obliv::SortPolicy* sort_chosen = nullptr);
+                            uint64_t* sorts_elided = nullptr);
 
 // Fill-Dimensions: the forward/backward pass pair of Figure 2.  Expects tc
 // sorted by (j, tid); on return every entry carries its group's final

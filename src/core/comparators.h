@@ -4,14 +4,6 @@
 //
 // Lexicographic composition pattern:
 //   lt  = lt(k1)  |  eq(k1) & lt(k2)  |  eq(k1) & eq(k2) & lt(k3) ...
-//
-// Each comparator also exposes the faithful SortKey projection contract of
-// obliv/sort_key.h (kSortKeyWords + SortKeyOf), making every pipeline sort
-// eligible for the key/payload-separated SortPolicy::kTagSort path: the
-// projection lists exactly the fields the comparator consults, in
-// comparator order, so big-endian-lexicographic comparison of the keys
-// reproduces the comparator bit-for-bit (tests/tag_sort_test.cc
-// cross-checks this for every comparator below).
 
 #ifndef OBLIVDB_CORE_COMPARATORS_H_
 #define OBLIVDB_CORE_COMPARATORS_H_
@@ -19,7 +11,6 @@
 #include <cstdint>
 
 #include "obliv/ct.h"
-#include "obliv/sort_key.h"
 #include "table/entry.h"
 
 namespace oblivdb::core {
@@ -31,11 +22,6 @@ struct ByJoinKeyThenTidLess {
     const uint64_t eq_j = ct::EqMask(a.join_key, b.join_key);
     return ct::LessMask(a.join_key, b.join_key) |
            (eq_j & ct::LessMask(a.tid, b.tid));
-  }
-
-  static constexpr size_t kSortKeyWords = 2;
-  static obliv::SortKey<2> SortKeyOf(const Entry& e) {
-    return obliv::SortKey<2>{{e.join_key, e.tid}};
   }
 };
 
@@ -51,11 +37,6 @@ struct ByTidThenJoinKeyThenDataLess {
            (eq_tid & eq_j & ct::LessMask(a.payload0, b.payload0)) |
            (eq_tid & eq_j & eq_d0 & ct::LessMask(a.payload1, b.payload1));
   }
-
-  static constexpr size_t kSortKeyWords = 4;
-  static obliv::SortKey<4> SortKeyOf(const Entry& e) {
-    return obliv::SortKey<4>{{e.tid, e.join_key, e.payload0, e.payload1}};
-  }
 };
 
 // Algorithm 5, line 8: Bitonic-Sort<j, ii>(S2) — the alignment sort.
@@ -64,11 +45,6 @@ struct ByJoinKeyThenAlignIndexLess {
     const uint64_t eq_j = ct::EqMask(a.join_key, b.join_key);
     return ct::LessMask(a.join_key, b.join_key) |
            (eq_j & ct::LessMask(a.align_ii, b.align_ii));
-  }
-
-  static constexpr size_t kSortKeyWords = 2;
-  static obliv::SortKey<2> SortKeyOf(const Entry& e) {
-    return obliv::SortKey<2>{{e.join_key, e.align_ii}};
   }
 };
 
@@ -83,11 +59,6 @@ struct ByJoinKeyThenTidThenDataLess {
            (eq_j & ct::LessMask(a.tid, b.tid)) |
            (eq_j & eq_tid & ct::LessMask(a.payload0, b.payload0)) |
            (eq_j & eq_tid & eq_d0 & ct::LessMask(a.payload1, b.payload1));
-  }
-
-  static constexpr size_t kSortKeyWords = 4;
-  static obliv::SortKey<4> SortKeyOf(const Entry& e) {
-    return obliv::SortKey<4>{{e.join_key, e.tid, e.payload0, e.payload1}};
   }
 };
 
@@ -105,11 +76,6 @@ struct ByShardThenKeyThenDataLess {
            (eq_s & ct::LessMask(a.join_key, b.join_key)) |
            (eq_s & eq_j & ct::LessMask(a.payload0, b.payload0)) |
            (eq_s & eq_j & eq_d0 & ct::LessMask(a.payload1, b.payload1));
-  }
-
-  static constexpr size_t kSortKeyWords = 4;
-  static obliv::SortKey<4> SortKeyOf(const Entry& e) {
-    return obliv::SortKey<4>{{e.align_ii, e.join_key, e.payload0, e.payload1}};
   }
 };
 

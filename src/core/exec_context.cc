@@ -4,19 +4,8 @@
 #include <string_view>
 
 #include "common/bits.h"
-#include "obliv/sort_policy.h"
 
 namespace oblivdb::core {
-
-obliv::SortPolicy ExecContext::DefaultSortPolicy() {
-  static const obliv::SortPolicy policy = [] {
-    const char* env = std::getenv("OBLIVDB_SORT_POLICY");
-    return env != nullptr
-               ? obliv::SortPolicyFromName(env, kDefaultSortPolicy)
-               : kDefaultSortPolicy;
-  }();
-  return policy;
-}
 
 uint32_t ExecContext::DefaultShards() {
   static const uint32_t shards = [] {

@@ -6,7 +6,8 @@
 // single context carries the public configuration of a query execution:
 //
 //   * sort_policy  — which implementation runs every bitonic sort in every
-//                    operator (obliv/sort_kernel.h; a pure speed knob);
+//                    operator (obliv/sort_kernel.h): the blocked kernel,
+//                    or the reference network as a test oracle;
 //   * pool         — the worker pool every sort and run merge fans out on
 //                    when it is wider than one worker (routed down
 //                    through obliv::SortRange; width 1 = sequential);
@@ -44,7 +45,6 @@
 #include "common/thread_pool.h"
 #include "core/stats.h"
 #include "memtrace/trace.h"
-#include "obliv/artifact_cache.h"
 #include "obliv/sort_kernel.h"
 
 namespace oblivdb::core {
@@ -84,21 +84,12 @@ class CollectingStatsSink : public StatsSink {
 };
 
 struct ExecContext {
-  // The single source of truth for the library-wide default sort tier
-  // (previously copied into every operator signature).  This is the
-  // compile-time fallback; a freshly constructed context actually starts
-  // from DefaultSortPolicy(), which honours the OBLIVDB_SORT_POLICY
-  // environment override.
-  static constexpr obliv::SortPolicy kDefaultSortPolicy =
-      obliv::SortPolicy::kBlocked;
-
-  // The process-wide default sort tier: OBLIVDB_SORT_POLICY (one of
-  // "reference", "blocked", "tag", "auto" — obliv::SortPolicyName's
-  // vocabulary — or a retired name obliv::SortPolicyFromName still maps)
-  // when set to a recognized name, kDefaultSortPolicy otherwise.  Read once and cached; CI uses it to run
-  // the whole test suite under SortPolicy::kAuto without code changes
-  // (bench/smoke.sh).  Public configuration, like everything in here.
-  static obliv::SortPolicy DefaultSortPolicy();
+  // The library-wide sort tier: the blocked kernel.  The reference network
+  // (obliv::SortPolicy::kReference) is selected only by tests, as the
+  // oracle the blocked kernel is checked against.
+  static constexpr obliv::SortPolicy DefaultSortPolicy() {
+    return obliv::SortPolicy::kBlocked;
+  }
 
   // The process-wide default for `sort_elision`: OBLIVDB_SORT_ELISION set
   // to "off"/"0"/"false" disables it, "on"/"1"/"true" enables it, anything
@@ -155,16 +146,13 @@ struct ExecContext {
   // settings).
   bool optimize = DefaultOptimize();
 
-  // Worker pool for the operators' parallel phases: every kBlocked and
-  // kTagSort sort and every run merge of at least
-  // obliv::internal::kParallelCutoff elements fans out on it when it has
-  // more than one worker (a width-1 pool runs the sequential kernels), as
-  // do Beneš switch planning and column fan-out.  Forwarded to
-  // obliv::SortRange by every operator.  nullptr means
-  // ThreadPool::Global(), whose size honours the OBLIVDB_THREADS
-  // environment override — the worker count also feeds the kAuto cost
-  // model, so pinning it pins the policy resolution.  Output and trace are
-  // the same at every width.
+  // Worker pool for the operators' parallel phases: every kBlocked sort
+  // and every run merge of at least obliv::internal::kParallelCutoff
+  // elements fans out on it when it has more than one worker (a width-1
+  // pool runs the sequential kernels).  Forwarded to obliv::SortRange by
+  // every operator.  nullptr means ThreadPool::Global(), whose size
+  // honours the OBLIVDB_THREADS environment override.  Output and trace
+  // are the same at every width.
   ThreadPool* pool = nullptr;
 
   // Out-parameter: filled by the most recent operator executed under this
@@ -207,7 +195,7 @@ struct ExecContext {
   // Sharded execution (core/shard.h): how many independent per-shard
   // pipelines a Join/Aggregate splits into.  1 = never shard; k >= 2 =
   // force k (subject to the public fallbacks of ResolveShardCount); 0 =
-  // kAuto-style crossover — shard only when the public sizes and the pool's
+  // auto crossover — shard only when the public sizes and the pool's
   // worker count make the partition + merge overhead pay.  Public
   // configuration, like the SortPolicy.
   uint32_t shards = DefaultShards();
@@ -216,15 +204,6 @@ struct ExecContext {
   // executor (core/shard.h) to derive the partition PRPs and the per-shard
   // seeds; reserved for the other probabilistic paths (encrypted arrays).
   uint64_t rng_seed = 0x0b11da7aba5e5eedULL;
-
-  // Artifact cache for query-independent expensive byproducts — Beneš
-  // switch plans today (obliv/artifact_cache.h).  The Executor installs it
-  // (ArtifactCacheScope) around each run and the sharded executor
-  // re-installs it on its worker threads; nullptr disables caching for
-  // runs under this context.  Defaults to the process-wide cache unless
-  // OBLIVDB_PLAN_CACHE says off.  A hit changes only wall time — planning
-  // is trace-silent — so this is a pure speed knob, like the SortPolicy.
-  obliv::ArtifactCache* artifact_cache = obliv::ArtifactCache::DefaultForProcess();
 
   ThreadPool& pool_or_global() const {
     return pool != nullptr ? *pool : ThreadPool::Global();

@@ -29,14 +29,13 @@ memtrace::OArray<Entry> ExpandTable(memtrace::OArray<Entry>& source,
                                     uint64_t expected_m, const char* name,
                                     const CountFn& g,
                                     obliv::PrimitiveStats* stats,
-                                    const ExecContext& ctx,
-                                    obliv::SortPolicy* sort_chosen) {
+                                    const ExecContext& ctx) {
   const uint64_t m = obliv::AssignExpandDestinations(source, g);
   OBLIVDB_CHECK_EQ(m, expected_m);
   memtrace::OArray<Entry> expanded(
       std::max<uint64_t>(source.size(), m), name);
   obliv::ExpandToDestinations(source, expanded, m, stats, ctx.sort_policy,
-                              ctx.pool, sort_chosen);
+                              ctx.pool);
   return expanded;
 }
 
@@ -60,8 +59,7 @@ std::vector<JoinedRecord> ObliviousJoin(const Table& table1,
   Checkpoint("join_phase");
   AugmentResult augmented =
       AugmentTables(table1, table2, ctx, &stats->augment_sort_comparisons,
-                    hints, &stats->op_sorts_elided,
-                    &stats->op_sort_policy_chosen);
+                    hints, &stats->op_sorts_elided);
   const uint64_t m = augmented.output_size;
   stats->m = m;
   stats->augment_seconds = phase_timer.ElapsedSeconds();
@@ -70,26 +68,20 @@ std::vector<JoinedRecord> ObliviousJoin(const Table& table1,
   Checkpoint("join_phase");
   phase_timer.Start();
   obliv::PrimitiveStats expand_stats;
-  memtrace::OArray<Entry> s1 = ExpandTable(
-      augmented.t1, m, "S1", CountAlpha2{}, &expand_stats, ctx,
-      &stats->op_sort_policy_chosen);
-  memtrace::OArray<Entry> s2 = ExpandTable(
-      augmented.t2, m, "S2", CountAlpha1{}, &expand_stats, ctx,
-      &stats->op_sort_policy_chosen);
+  memtrace::OArray<Entry> s1 = ExpandTable(augmented.t1, m, "S1",
+                                           CountAlpha2{}, &expand_stats, ctx);
+  memtrace::OArray<Entry> s2 = ExpandTable(augmented.t2, m, "S2",
+                                           CountAlpha1{}, &expand_stats, ctx);
   stats->expand_sort_comparisons = expand_stats.sort_comparisons;
   stats->expand_route_ops = expand_stats.route_ops;
   stats->expand_seconds = phase_timer.ElapsedSeconds();
 
-  // (4) Align S2 with S1 (Algorithm 5).  The align sort covers the full
-  // output size m — the join's dominant sort — so its resolved tier is the
-  // one op_sort_policy_chosen ends up reporting (the expansions wrote the
-  // smaller prefix sorts' resolutions first; same model inputs except n).
-  // With a key-unique input the sort is skipped entirely (align.h) and the
-  // last recorded tier stays the expansion's.
+  // (4) Align S2 with S1 (Algorithm 5).  With a key-unique input the sort
+  // is skipped entirely (align.h).
   Checkpoint("join_phase");
   phase_timer.Start();
-  AlignTable(s2, m, ctx, &stats->align_sort_comparisons,
-             &stats->op_sort_policy_chosen, hints, &stats->op_sorts_elided);
+  AlignTable(s2, m, ctx, &stats->align_sort_comparisons, hints,
+             &stats->op_sorts_elided);
   stats->align_seconds = phase_timer.ElapsedSeconds();
 
   // (5) Zip the aligned rows into the output (Algorithm 1, lines 6-9),

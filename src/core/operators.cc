@@ -81,8 +81,7 @@ Table ObliviousDistinct(const Table& input, const ExecContext& ctx,
     ++stats.op_sorts_elided;
   } else {
     obliv::Sort(arr, ByTidThenJoinKeyThenDataLess{}, ctx.sort_policy,
-                &stats.op_sort_comparisons, ctx.pool,
-                &stats.op_sort_policy_chosen);
+                &stats.op_sort_comparisons, ctx.pool);
   }
   // Equal rows are now adjacent; flag every row equal to its predecessor.
   uint64_t prev_key = 0, prev_d0 = 0, prev_d1 = 0;
@@ -150,21 +149,18 @@ Table SemiOrAntiJoin(const Table& t1, const Table& t2, bool want_match,
   if (merge_entry) {
     if (!hints.left.Covers(OrderSpec::ByKeyData())) {
       obliv::SortRange(arr, 0, n1, ByJoinKeyThenTidThenDataLess{},
-                       ctx.sort_policy, &stats.op_sort_comparisons, ctx.pool,
-                       &stats.op_sort_policy_chosen);
+                       ctx.sort_policy, &stats.op_sort_comparisons, ctx.pool);
     }
     if (!hints.right.Covers(OrderSpec::ByKeyData())) {
       obliv::SortRange(arr, n1, n2, ByJoinKeyThenTidThenDataLess{},
-                       ctx.sort_policy, &stats.op_sort_comparisons, ctx.pool,
-                       &stats.op_sort_policy_chosen);
+                       ctx.sort_policy, &stats.op_sort_comparisons, ctx.pool);
     }
     obliv::ObliviousMergeRuns(arr, 0, n1, n2, ByJoinKeyThenTidThenDataLess{},
                               &stats.op_sort_comparisons, ctx.pool);
     ++stats.op_sorts_elided;
   } else {
     obliv::Sort(arr, ByJoinKeyThenTidThenDataLess{}, ctx.sort_policy,
-                &stats.op_sort_comparisons, ctx.pool,
-                &stats.op_sort_policy_chosen);
+                &stats.op_sort_comparisons, ctx.pool);
   }
 
   // Backward pass: within a group the T2 rows (tid 2) come last, so a

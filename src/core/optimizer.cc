@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/comparators.h"
 #include "core/shard.h"
 #include "obliv/sort_kernel.h"
 #include "table/entry.h"
@@ -224,17 +223,12 @@ PlanPtr Rewrite(const PlanPtr& node, const SizeFeedback* fb) {
 // Linear operators (scan, select, union) cost zero; the single-sort
 // operators pay one union sort; the join family routes through the same
 // EstimateShardedJoinNs the shard crossover uses (k = 1: the unsharded
-// pipeline).  Entry-width elements with the pipeline comparators' tag
-// projection, like every other consumer of the model.
+// pipeline).  Entry-width elements on the blocked kernel, like every other
+// consumer of the model.
 double SortNs(size_t n, unsigned workers) {
-  if (n < 2) return 0.0;
-  constexpr size_t kTagBytes =
-      8 * (ByTidThenJoinKeyThenDataLess::kSortKeyWords + 1);
-  const obliv::SortPolicy tier = obliv::ResolveSortPolicy(
-      obliv::SortPolicy::kAuto, sizeof(Entry), kTagBytes, n, workers);
   return static_cast<double>(n) *
-         obliv::EstimateSortNsPerElement(tier, sizeof(Entry), kTagBytes, n,
-                                         workers);
+         obliv::EstimateSortNsPerElement(obliv::SortPolicy::kBlocked,
+                                         sizeof(Entry), n, workers);
 }
 
 double NodeCostNs(const PlanPtr& node, unsigned workers) {

@@ -41,9 +41,9 @@
 //       and already (j, d0, d1)-covered — the sort is covered and no two
 //       rows can be equal, so the operator is the identity.
 //
-// Cost model: the same measured sort model the kAuto tier resolution and
-// the sharding crossover use (obliv/sort_kernel.h, EstimateShardedJoinNs
-// in core/shard.h) — one model, three consumers, so "what the optimizer
+// Cost model: the same measured sort model the run-merge elision and the
+// sharding crossover use (obliv/sort_kernel.h, EstimateShardedJoinNs in
+// core/shard.h) — one model, three consumers, so "what the optimizer
 // thinks is fast" and "what the executor actually picks" can never
 // diverge.  EstimateRows is the size-propagation half: scan sizes are
 // exact (public), everything above is the standard key-uniqueness-aware

@@ -8,7 +8,6 @@
 #include "core/multiway.h"
 #include "core/optimizer.h"
 #include "core/shard.h"
-#include "obliv/sort_policy.h"
 
 namespace oblivdb::core {
 
@@ -250,14 +249,7 @@ void ExplainAnnotatedInto(const PlanPtr& node,
     out += node->label;
   }
   out += " [rows=" + std::to_string(s.output_rows);
-  // kAuto is the "no sort recorded" sentinel (core/stats.h); a resolved
-  // tier is never kAuto.
-  if (s.stats.op_sort_policy_chosen != obliv::SortPolicy::kAuto) {
-    out += " sort=";
-    out += obliv::SortPolicyName(s.stats.op_sort_policy_chosen);
-  }
-  // Order propagation skipped (or merged away) entry sorts at this node;
-  // a node that ran no sort at all renders `sort=elided` alone.
+  // Order propagation skipped (or merged away) entry sorts at this node.
   if (s.stats.op_sorts_elided > 0) out += " sort=elided";
   // Optimizer rewrites that produced or landed on this node
   // (core/optimizer.h); only meaningful when the rendered tree is the
@@ -282,14 +274,6 @@ void ExplainAnnotatedInto(const PlanPtr& node,
   if (s.stats.op_retries > 0) {
     out += " retries=" + std::to_string(s.stats.op_retries);
   }
-  // Artifact-cache lookups in the node's window (core/stats.h): every
-  // needed switch plan found cached renders `cache=hit`; any fresh
-  // planning renders `cache=miss`.  Lookup-free nodes render nothing.
-  if (s.stats.op_cache_hits > 0 && s.stats.op_cache_misses == 0) {
-    out += " cache=hit";
-  } else if (s.stats.op_cache_misses > 0) {
-    out += " cache=miss";
-  }
   out += "]\n";
   size_t child_base = base;
   for (const PlanPtr& in : node->inputs) {
@@ -312,11 +296,6 @@ std::string ExplainPlan(const PlanPtr& plan,
 PlanResult Executor::Execute(const PlanPtr& plan) {
   OBLIVDB_CHECK(plan != nullptr);
   node_stats_.clear();
-  // Install the context's artifact cache for the whole run (the sharded
-  // executor re-installs it on its worker threads).  A pure speed knob:
-  // cached switch plans are trace-silent, so hit vs. miss never moves the
-  // public access sequence.
-  obliv::ArtifactCacheScope cache_scope(ctx_.artifact_cache);
   // The rewrite pass reads only plan shape and public sizes, so running it
   // outside the trace scope is sound: the trace of the optimized run is the
   // trace of the rewritten tree, itself a pure function of public inputs.
@@ -396,12 +375,6 @@ Table Executor::ExecNodeImpl(const PlanPtr& node, PlanResult* root_result) {
   if (node->inputs.size() >= 1) hints.left = child_order(0);
   if (node->inputs.size() >= 2) hints.right = child_order(1);
 
-  // Artifact-cache window for this node's own operator: the children above
-  // already recursed, so the delta below covers exactly this operator's
-  // driver-thread lookups (mirrors RecordFaultDelta's window idiom).
-  const obliv::ArtifactCacheCounters cache_before =
-      obliv::ThreadArtifactCacheCounters();
-
   Table out;
   switch (node->op) {
     case PlanOp::kScan:
@@ -465,13 +438,8 @@ Table Executor::ExecNodeImpl(const PlanPtr& node, PlanResult* root_result) {
 
   entry.output_rows = out.size();
   // After the operator's ReportStats filled entry.stats: the rewrite count
-  // and the cache-window delta are plan-tree bookkeeping, not operator
-  // counters.
+  // is plan-tree bookkeeping, not an operator counter.
   entry.stats.op_rewrites = node->rewrites;
-  const obliv::ArtifactCacheCounters cache_after =
-      obliv::ThreadArtifactCacheCounters();
-  entry.stats.op_cache_hits = cache_after.hits - cache_before.hits;
-  entry.stats.op_cache_misses = cache_after.misses - cache_before.misses;
   node_stats_.push_back(std::move(entry));
   return out;
 }

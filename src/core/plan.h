@@ -79,7 +79,7 @@ struct PlanNode {
   // render `rewrites=N`.
   uint64_t rewrites = 0;
   // kJoin / kAggregate: per-node shard-count override (core/shard.h).
-  // 0 = inherit ExecContext::shards (the OBLIVDB_SHARDS knob / kAuto
+  // 0 = inherit ExecContext::shards (the OBLIVDB_SHARDS knob / auto
   // crossover); 1 = pin this node unsharded; k >= 2 = force k shards,
   // subject to ResolveShardCount's public fallbacks.  Public plan
   // metadata, like the operator itself.
@@ -161,23 +161,19 @@ std::string PlanShapeSignature(const PlanPtr& plan);
 struct PlanNodeStats;
 
 // Post-execution rendering: the same tree annotated with each node's
-// revealed output size, the tier its sorts actually executed on (the kAuto
-// resolution recorded in JoinStats::op_sort_policy_chosen), when order
-// propagation elided entry sorts (op_sorts_elided > 0) a `sort=elided`
-// marker, when the node ran sharded (op_shards > 1) a `shards=k` marker,
+// revealed output size, when order propagation elided entry sorts
+// (op_sorts_elided > 0) a `sort=elided` marker, when the node ran sharded (op_shards > 1) a `shards=k` marker,
 // and — when the fault-injection counters recorded activity during the
 // node's window (core/stats.h) — `faults=N`, `degraded=N`, and
 // `retries=N` markers, e.g.
 //
-//   aggregate [rows=3 sort=blocked sort=elided]
-//     join [rows=7 sort=blocked sort=elided]
-//       distinct [rows=12 sort=tag]
+//   aggregate [rows=3 sort=elided]
+//     join [rows=7 sort=elided]
+//       distinct [rows=12]
 //         scan(purchases) [rows=14]
 //       scan(departments) [rows=4]
 //
-// A node whose only sort was skipped outright (e.g. a distinct over
-// already-(j, d)-sorted rows) renders `sort=elided` alone.  `node_stats`
-// must be the node_stats() of an Executor that just ran this plan (the
+// `node_stats` must be the node_stats() of an Executor that just ran this plan (the
 // post-order entry count is checked).
 std::string ExplainPlan(const PlanPtr& plan,
                         const std::vector<PlanNodeStats>& node_stats);

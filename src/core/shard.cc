@@ -19,7 +19,6 @@
 #include "core/comparators.h"
 #include "memtrace/oarray.h"
 #include "memtrace/trace.h"
-#include "obliv/artifact_cache.h"
 #include "obliv/ct.h"
 #include "obliv/distribute.h"
 #include "obliv/merge.h"
@@ -133,10 +132,6 @@ std::vector<double> RunShardJobs(
     threads.emplace_back([&, s] {
       std::optional<RecoveryScope> scope;
       if (recover) scope.emplace();
-      // Re-install the context's artifact cache: the Executor's scope is
-      // thread-local to the driver, and a shard pipeline's tag sorts
-      // should hit (or honour the disabling of) the same cache.
-      obliv::ArtifactCacheScope cache_scope(ctx.artifact_cache);
       try {
         Timer timer;
         job(s, ctx.ForShard(s, shard_pool[s]));
@@ -186,10 +181,9 @@ uint64_t MergeSortedRuns(memtrace::OArray<T>& a, std::vector<size_t> runs,
 }
 
 // Accumulates one shard pipeline's counters into the sharded operator's
-// aggregate record (phase counters and times sum; the resolved sort tier
-// is last-writer-wins, like the unsharded pipeline's own phases).  The
-// fault counters (op_faults_injected / op_degradations / op_retries) are
-// deliberately NOT summed: each shard's RecordFaultDelta measured its own
+// aggregate record (phase counters and times sum).  The fault counters
+// (op_faults_injected / op_degradations / op_retries) are deliberately NOT
+// summed: each shard's RecordFaultDelta measured its own
 // global-counter window, and those windows overlap when shards run
 // concurrently — the sharded operator reports one RecordFaultDelta over
 // its whole execution window instead.
@@ -205,9 +199,6 @@ void FoldShardStats(const JoinStats& shard, JoinStats& agg) {
   agg.expand_seconds += shard.expand_seconds;
   agg.align_seconds += shard.align_seconds;
   agg.zip_seconds += shard.zip_seconds;
-  if (shard.op_sort_policy_chosen != obliv::SortPolicy::kAuto) {
-    agg.op_sort_policy_chosen = shard.op_sort_policy_chosen;
-  }
 }
 
 // The per-shard input-order promise: ObliviousShardPartition leaves every
@@ -258,16 +249,13 @@ namespace {
 // Modeled cost (ns) of one unsharded Join/Aggregate pipeline over inputs
 // of n1 + n2 rows on w workers: the pipeline is dominated by ~4 full
 // Entry-width sorts of the union (entry sort, two expansion prefix sorts,
-// the align sort), each running whatever tier the kAuto resolution would
-// pick at that size.  The absolute number only matters insofar as it ranks
-// shard counts correctly, exactly like the sort model it builds on.
+// the align sort), each on the blocked kernel.  The absolute number only
+// matters insofar as it ranks shard counts correctly, exactly like the
+// sort model it builds on.
 double JoinPipelineNs(size_t n, unsigned w) {
-  if (n < 2) return 0.0;
-  constexpr size_t kTagBytes = 8 * (ByJoinKeyThenTidLess::kSortKeyWords + 1);
-  const obliv::SortPolicy tier = obliv::ResolveSortPolicy(
-      obliv::SortPolicy::kAuto, sizeof(Entry), kTagBytes, n, w);
   return 4.0 * static_cast<double>(n) *
-         obliv::EstimateSortNsPerElement(tier, sizeof(Entry), kTagBytes, n, w);
+         obliv::EstimateSortNsPerElement(obliv::SortPolicy::kBlocked,
+                                         sizeof(Entry), n, w);
 }
 
 }  // namespace
@@ -283,14 +271,9 @@ double EstimateShardedJoinNs(size_t n1, size_t n2, uint32_t k,
   const size_t padded1 = static_cast<size_t>(k) * cap1;
   const size_t padded2 = static_cast<size_t>(k) * cap2;
   auto partition_ns = [&](size_t padded) {
-    if (padded < 2) return 0.0;
-    constexpr size_t kTagBytes =
-        8 * (ByJoinKeyThenTidLess::kSortKeyWords + 1);
-    const obliv::SortPolicy tier = obliv::ResolveSortPolicy(
-        obliv::SortPolicy::kAuto, sizeof(Entry), kTagBytes, padded, workers);
     return 2.0 * static_cast<double>(padded) *
-           obliv::EstimateSortNsPerElement(tier, sizeof(Entry), kTagBytes,
-                                           padded, workers);
+           obliv::EstimateSortNsPerElement(obliv::SortPolicy::kBlocked,
+                                           sizeof(Entry), padded, workers);
   };
   double total = partition_ns(padded1) + partition_ns(padded2);
   // Per-shard pipelines: k runs over (cap1 + cap2)-row inputs, overlapped
@@ -317,21 +300,20 @@ uint32_t ResolveShardCount(const Table& t1, const Table& t2,
   if (ctx.shards >= 2) {
     k = std::min(ctx.shards, ExecContext::kMaxShards);
   } else {
-    // kAuto: cost-model argmin over candidate shard counts.  The size
+    // Auto: cost-model argmin over candidate shard counts.  The size
     // floors come first — as hard lower bounds — so small operators never
-    // touch the pool (ThreadPool::Global() spawns its workers on first use
-    // — the same hygiene as the sort kernel's kAuto path) and never pay
-    // partition overhead on inputs too small for the model's asymptotics
-    // to be trustworthy.
+    // touch the pool (ThreadPool::Global() spawns its workers on first use)
+    // and never pay partition overhead on inputs too small for the model's
+    // asymptotics to be trustworthy.
     const size_t n_total = t1.size() + t2.size();
-    if (n_total < kAutoShardMinRows) return 1;
+    if (n_total < kShardMinRows) return 1;
     const unsigned workers = ctx.pool_or_global().worker_count();
     if (workers < 2) return 1;
     const uint32_t ceiling = std::min<uint32_t>(workers, kMaxAutoShards);
     uint32_t best = 1;
     double best_ns = EstimateShardedJoinNs(t1.size(), t2.size(), 1, workers);
     for (uint32_t cand = 2; cand <= ceiling; cand *= 2) {
-      if (n_total / cand < kAutoShardMinRowsPerShard) break;
+      if (n_total / cand < kShardMinRowsPerShard) break;
       const double ns =
           EstimateShardedJoinNs(t1.size(), t2.size(), cand, workers);
       if (ns < best_ns) {
@@ -416,7 +398,7 @@ ShardSet ObliviousShardPartition(const Table& table, uint32_t k,
   // below a single sequential scan and leaves every shard's rows in the
   // (j, d) order the pipelines' ByKeyData hint promises.
   obliv::SortRange(a, 0, n, ByShardThenKeyThenDataLess{}, ctx.sort_policy,
-                   &out.sort_comparisons, ctx.pool, &out.sort_chosen);
+                   &out.sort_comparisons, ctx.pool);
 
   // Branchless running offset within the current shard group: row i of
   // shard s gets the 1-based destination s*cap + i + 1.  The offset update
@@ -440,8 +422,7 @@ ShardSet ObliviousShardPartition(const Table& table, uint32_t k,
   obliv::PrimitiveStats distribute_stats{};
   obliv::ObliviousDistributeProbabilistic(
       a, n, ExecContext::DeriveSeed(ctx.rng_seed, table_tag),
-      &distribute_stats, ctx.sort_policy, ctx.pool,
-      obliv::DistributeUndo::kAuto);
+      &distribute_stats, ctx.sort_policy, ctx.pool);
   out.sort_comparisons += distribute_stats.sort_comparisons;
   out.route_ops += distribute_stats.route_ops;
 
@@ -506,9 +487,6 @@ std::vector<JoinedRecord> ShardedJoin(const Table& t1, const Table& t2,
   ShardSet p2 = ObliviousShardPartition(t2, k, 2, ctx);
   stats.op_sort_comparisons = p1.sort_comparisons + p2.sort_comparisons;
   stats.op_route_ops = p1.route_ops + p2.route_ops;
-  stats.op_sort_policy_chosen = p2.sort_chosen != obliv::SortPolicy::kAuto
-                                    ? p2.sort_chosen
-                                    : p1.sort_chosen;
 
   const OrderHints shard_hints = ShardHints(hints);
   std::vector<std::vector<JoinedRecord>> outputs(k);
@@ -587,9 +565,6 @@ std::vector<JoinGroupAggregate> ShardedJoinAggregate(const Table& t1,
   ShardSet p2 = ObliviousShardPartition(t2, k, 2, ctx);
   stats.op_sort_comparisons = p1.sort_comparisons + p2.sort_comparisons;
   stats.op_route_ops = p1.route_ops + p2.route_ops;
-  stats.op_sort_policy_chosen = p2.sort_chosen != obliv::SortPolicy::kAuto
-                                    ? p2.sort_chosen
-                                    : p1.sort_chosen;
 
   const OrderHints shard_hints = ShardHints(hints);
   std::vector<std::vector<JoinGroupAggregate>> outputs(k);

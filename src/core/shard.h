@@ -9,8 +9,7 @@
 //      use the same key-to-shard map, so matching keys always meet in the
 //      same shard).  Rows are grouped obliviously — a bitonic sort by
 //      (shard, j, d), a fixed-pattern destination pass, then the paper's
-//      probabilistic Oblivious-Distribute (tag-sort-backed,
-//      obliv/distribute.h) routing each row to its public padded slot.
+//      probabilistic Oblivious-Distribute (obliv/distribute.h) routing each row to its public padded slot.
 //      Every shard is padded to the *public* capacity ShardCapacity(n, k);
 //      the padding slots become inert rows with unique reserved keys from
 //      the top of the key space (>= ShardDummyKeyFloor, odd/even-split by
@@ -48,7 +47,7 @@
 // as revealing m.
 //
 // Knobs: ExecContext::shards (OBLIVDB_SHARDS) forces a count or leaves the
-// kAuto-style crossover to shard only when the sizes and the worker count
+// auto crossover to shard only when the sizes and the worker count
 // make the partition + merge overhead pay.
 
 #ifndef OBLIVDB_CORE_SHARD_H_
@@ -74,13 +73,13 @@ namespace oblivdb::core {
 // ones) is never sharded (public fallback, see header comment).
 uint64_t ShardDummyKeyFloor(size_t n, uint32_t k);
 
-// kAuto sharding crossover: shard only when the combined input is at least
-// kAutoShardMinRows and each shard keeps at least kAutoShardMinRowsPerShard
+// Auto sharding crossover: shard only when the combined input is at least
+// kShardMinRows and each shard keeps at least kShardMinRowsPerShard
 // rows — below that the partition sort + distribute + merge overhead
 // exceeds what the per-shard log-factor shrink and the cross-shard
 // parallelism return.  Public constants, like the sort cost model's.
-inline constexpr size_t kAutoShardMinRows = size_t{1} << 17;
-inline constexpr size_t kAutoShardMinRowsPerShard = size_t{1} << 15;
+inline constexpr size_t kShardMinRows = size_t{1} << 17;
+inline constexpr size_t kShardMinRowsPerShard = size_t{1} << 15;
 inline constexpr uint32_t kMaxAutoShards = 16;
 
 // Public padded per-shard capacity for an n-row table split k ways:
@@ -109,8 +108,8 @@ double EstimateShardedJoinNs(size_t n1, size_t n2, uint32_t k,
 
 // The shard count a Join/Aggregate of these two inputs actually runs with
 // under `ctx`: ctx.shards when forced (>= 2), the cost-model argmin over
-// EstimateShardedJoinNs when 0 (auto; the kAutoShardMinRows /
-// kAutoShardMinRowsPerShard floors remain lower bounds so small operators
+// EstimateShardedJoinNs when 0 (auto; the kShardMinRows /
+// kShardMinRowsPerShard floors remain lower bounds so small operators
 // never pay partition overhead or spawn the pool), downgraded to 1 by the
 // public fallbacks (empty input, reserved keys, capacity overflow under
 // the derived key-to-shard map).  Every caller of the sharded operators
@@ -130,7 +129,6 @@ struct ShardSet {
   // Partition-pass telemetry, folded into the sharded operator's JoinStats.
   uint64_t sort_comparisons = 0;
   uint64_t route_ops = 0;
-  obliv::SortPolicy sort_chosen = obliv::SortPolicy::kAuto;
 };
 ShardSet ObliviousShardPartition(const Table& table, uint32_t k,
                                  uint64_t table_tag, const ExecContext& ctx);

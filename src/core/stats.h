@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "obliv/sort_policy.h"
 
 namespace oblivdb::core {
 
@@ -62,13 +61,6 @@ struct JoinStats {
   uint64_t op_shards = 1;
   std::vector<double> shard_seconds;
 
-  // The sort tier that actually executed the operator's dominant sort (the
-  // pipeline sort for the single-sort operators, the expansion's
-  // distribution sort for the full join) — interesting when the configured
-  // policy is SortPolicy::kAuto.  kAuto doubles as the "no sort ran /
-  // nothing recorded" sentinel since a resolved tier is never kAuto.
-  obliv::SortPolicy op_sort_policy_chosen = obliv::SortPolicy::kAuto;
-
   // Resilience telemetry (common/fault.h): faults the deterministic
   // injector fired inside this operator's execution window, recovery
   // degradations taken (sort-policy downgrades on pool-spawn refusal,
@@ -82,19 +74,6 @@ struct JoinStats {
   uint64_t op_faults_injected = 0;
   uint64_t op_degradations = 0;
   uint64_t op_retries = 0;
-
-  // Artifact-cache lookups (obliv/artifact_cache.h) this operator's window
-  // incurred: Beneš switch plans found cached vs. planned afresh.  Window
-  // deltas of the per-thread lookup counters, recorded by the plan
-  // Executor after the operator runs (like op_rewrites, this is plan-tree
-  // bookkeeping rather than an operator counter); lookups made on a
-  // sharded operator's concurrent worker threads accrue to those threads
-  // and are not folded in here.  A hit vs. a miss changes only wall time —
-  // planning is trace-silent — so the counters are telemetry, not part of
-  // the public trace.  Rendered by the annotated ExplainPlan as
-  // `cache=hit` / `cache=miss`.
-  uint64_t op_cache_hits = 0;
-  uint64_t op_cache_misses = 0;
 
   double augment_seconds = 0;
   double expand_seconds = 0;

@@ -87,11 +87,10 @@ class TraceScope {
 // TraceScope / SetTraceSink, the ambient session survives — the sink is
 // detached for the scope and the array-id counter is restored on exit, so
 // arrays registered after the pause get exactly the ids they would have
-// had without it.  For internal activity that must remain invisible to an
-// installed sink — e.g. the cost-model calibration probes
-// (obliv/sort_kernel.cc), which can be reached lazily from inside a traced
-// query run and must neither pollute its log, nor shift its ids, nor pay
-// the traced path.  (Defined in trace.cc: the id counter lives there.)
+// had without it.  For activity that must remain invisible to an installed
+// sink — e.g. an untraced reference run made from inside a traced test —
+// and must neither pollute its log, nor shift its ids, nor pay the traced
+// path.  (Defined in trace.cc: the id counter lives there.)
 class TracePause {
  public:
   TracePause();

@@ -1,175 +1,46 @@
-// Shape-keyed artifact cache: reusable, query-independent byproducts of
-// oblivious execution that are expensive to recompute and safe to share.
-//
-// The motivating artifact is the Beneš switch plan (obliv/permute.h).
-// Planning walks the permutation's cycles at DRAM latency — ~25 ns per
-// element per level, the fixed cost in front of every tag sort's payload
-// routing — yet the plan is a pure function of the permutation vector.  A
-// served system re-running the same queries re-derives the same
-// permutations (the pipeline is deterministic), so caching plans keyed on
-// the permutation *content* turns the planner into a one-time cost per
-// distinct permutation.
-//
-// Obliviousness: switch planning happens entirely in local memory — the
-// BenesNetwork constructor emits zero public trace events — so a cache hit
-// versus a miss changes only wall time, never the public access sequence.
-// The key is data-dependent (tag-sort permutations come from row order),
-// but it never surfaces: lookups touch only local-memory std::vectors, the
-// same invisibility the planner itself already relies on (§3.1).  Apply's
-// trace remains a function of network_size() alone, hit or miss.
-//
-// Concurrency: one mutex guards the map; planning a missed permutation
-// runs *outside* the lock so concurrent sessions planning different
-// permutations do not serialize.  Entries are shared_ptr-held, so an
-// evicted network stays alive for any session still applying it.  Bounded
-// by total bytes (switch bitmaps + stored key), evicted LRU.
-//
-// The cache consulted at a call site is resolved per thread:
-// ArtifactCacheScope installs a cache (or nullptr = disabled) for a query
-// run — the plan Executor installs ExecContext::artifact_cache, and the
-// sharded executor re-installs it on its worker threads — and call sites
-// without a scope fall back to the process default (the global cache when
-// OBLIVDB_PLAN_CACHE is not "off"/"0"/"false").
-//
-// The calibration half of the artifact story (memoized
-// CalibrateSortCostModel results keyed on worker count) lives behind
-// CalibrateSortCostModelShared in obliv/sort_kernel.{h,cc} — it reports its
-// hit/miss telemetry here (RecordCalibration) but cannot be stored here
-// without an include cycle through tag_sort.h.
+// ArtifactCache: an empty stand-in.  The engine caches nothing below the
+// query service's plan cache (service/plan_cache.h); the sort kernel has
+// no reusable byproduct.  The names exist because the repository benchmark
+// (oblivbench/) reads them: ArtifactCache::Global().stats(), whose hits
+// and misses are always 0, and ArtifactCache::DefaultEnabled(), which
+// parses OBLIVDB_PLAN_CACHE for ServiceOptions::plan_cache.
 
 #ifndef OBLIVDB_OBLIV_ARTIFACT_CACHE_H_
 #define OBLIVDB_OBLIV_ARTIFACT_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
-#include <vector>
-
-#include "common/thread_pool.h"
-#include "obliv/permute.h"
+#include <cstdlib>
+#include <string_view>
 
 namespace oblivdb::obliv {
 
-// Per-thread window counters for attributing hits/misses to the operator
-// that incurred them (the Executor snapshots around each node and writes
-// the delta into JoinStats::op_cache_hits / op_cache_misses).
-struct ArtifactCacheCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-};
-
-// This thread's cumulative lookup counters (monotonic; consumers take
-// window deltas, mirroring RecordFaultDelta in core/stats.h).
-const ArtifactCacheCounters& ThreadArtifactCacheCounters();
-
 class ArtifactCache {
  public:
-  // Byte budget for retained switch plans (bitmaps + stored permutation).
-  // A 2^20-element network holds ~5 MiB of switch bits + 4 MiB of key, so
-  // the default keeps a realistic handful of large plans resident.
-  static constexpr size_t kDefaultMaxBytes = size_t{128} << 20;
-
-  explicit ArtifactCache(size_t max_bytes = kDefaultMaxBytes)
-      : max_bytes_(max_bytes) {}
-
-  ArtifactCache(const ArtifactCache&) = delete;
-  ArtifactCache& operator=(const ArtifactCache&) = delete;
-
-  // The process-wide shared cache.
-  static ArtifactCache& Global();
-
-  // OBLIVDB_PLAN_CACHE: "off"/"0"/"false" disables the process-default
-  // artifact cache (and the query service's plan cache default); anything
-  // else, including unset, enables it.  Read once and cached, like the
-  // ExecContext env defaults.
-  static bool DefaultEnabled();
-
-  // The cache a scope-less call site uses: &Global() when DefaultEnabled(),
-  // nullptr (= plan every permutation afresh) otherwise.
-  static ArtifactCache* DefaultForProcess();
-
-  // Returns the switch plan for exactly this permutation — cached (the
-  // stored key is compared element-wise, so a 64-bit hash collision can
-  // never return the wrong plan) or freshly planned and inserted.  Bumps
-  // this thread's hit/miss counters and the cache-wide stats.
-  std::shared_ptr<const BenesNetwork> GetOrPlan(std::vector<uint32_t> perm,
-                                                ThreadPool* pool);
-
-  // Calibration-store telemetry (see header comment; the store itself
-  // lives in obliv/sort_kernel.cc).
-  void RecordCalibration(bool hit) {
-    (hit ? calibration_hits_ : calibration_misses_)
-        .fetch_add(1, std::memory_order_relaxed);
-  }
-
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t insertions = 0;
-    uint64_t evictions = 0;
-    uint64_t calibration_hits = 0;
-    uint64_t calibration_misses = 0;
-    size_t entries = 0;
-    size_t bytes = 0;
-  };
-  Stats stats() const;
-
-  void Clear();
-
- private:
-  struct Entry {
-    uint64_t hash = 0;
-    std::vector<uint32_t> perm;  // the exact key, for collision-proof hits
-    std::shared_ptr<const BenesNetwork> net;
-    size_t bytes = 0;
   };
 
-  // Most-recently-used at the front; the hash index maps into the list.
-  using EntryList = std::list<Entry>;
+  static ArtifactCache& Global() {
+    static ArtifactCache cache;
+    return cache;
+  }
 
-  std::shared_ptr<const BenesNetwork> LookupLocked(uint64_t hash,
-                                                   const std::vector<uint32_t>&
-                                                       perm);
-  void EvictToBudgetLocked();
+  // OBLIVDB_PLAN_CACHE: "off"/"0"/"false" disables the query service's
+  // plan cache default; anything else, including unset, enables it.  Read
+  // once and cached, like the ExecContext env defaults.
+  static bool DefaultEnabled() {
+    static const bool enabled = [] {
+      const char* env = std::getenv("OBLIVDB_PLAN_CACHE");
+      if (env == nullptr) return true;
+      const std::string_view v(env);
+      return !(v == "off" || v == "0" || v == "false");
+    }();
+    return enabled;
+  }
 
-  const size_t max_bytes_;
-  mutable std::mutex mu_;
-  EntryList entries_;
-  std::unordered_multimap<uint64_t, EntryList::iterator> index_;
-  size_t bytes_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t insertions_ = 0;
-  uint64_t evictions_ = 0;
-  std::atomic<uint64_t> calibration_hits_{0};
-  std::atomic<uint64_t> calibration_misses_{0};
+  Stats stats() const { return Stats{}; }
 };
-
-// Installs `cache` (nullptr = caching disabled) as this thread's artifact
-// cache for the scope's lifetime; restores the previous state on exit.
-// The plan Executor wraps each run in one of these carrying
-// ExecContext::artifact_cache, and the sharded executor re-installs it on
-// its per-shard driver threads.
-class ArtifactCacheScope {
- public:
-  explicit ArtifactCacheScope(ArtifactCache* cache);
-  ~ArtifactCacheScope();
-
-  ArtifactCacheScope(const ArtifactCacheScope&) = delete;
-  ArtifactCacheScope& operator=(const ArtifactCacheScope&) = delete;
-
- private:
-  ArtifactCache* saved_cache_;
-  bool saved_installed_;
-};
-
-// The cache the current thread's call sites consult: the innermost
-// ArtifactCacheScope's value if one is installed, DefaultForProcess()
-// otherwise.  May be nullptr (= plan afresh, count nothing).
-ArtifactCache* CurrentArtifactCache();
 
 }  // namespace oblivdb::obliv
 

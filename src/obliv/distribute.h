@@ -33,66 +33,30 @@ namespace oblivdb::obliv {
 // [1, a.size()] set via SetRouteDest (0 = null, to be discarded into slack);
 // a[n, size) holds nulls.  Destinations of non-null elements are distinct.
 // On exit: each non-null element x sits at index GetRouteDest(x) - 1.
-// `chosen` (optional) receives the sort tier that actually ran the prefix
-// sort — the dominant cost of the pass — for per-operator reporting.
 template <Routable T>
 void ObliviousDistribute(memtrace::OArray<T>& a, size_t n,
                          PrimitiveStats* stats = nullptr,
                          SortPolicy sort_policy = SortPolicy::kBlocked,
-                         ThreadPool* pool = nullptr,
-                         SortPolicy* chosen = nullptr) {
+                         ThreadPool* pool = nullptr) {
   OBLIVDB_CHECK_LE(n, a.size());
   uint64_t* comparisons = stats != nullptr ? &stats->sort_comparisons : nullptr;
   // Sort only the occupied prefix (O(n log^2 n)); the tail is already null.
-  SortRange(a, 0, n, NullsLastByDestLess{}, sort_policy, comparisons, pool,
-            chosen);
+  SortRange(a, 0, n, NullsLastByDestLess{}, sort_policy, comparisons, pool);
   RouteForward(a, stats);
 }
-
-// How ObliviousDistributeProbabilistic undoes the PRP mask after the
-// scatter pass.
-enum class DistributeUndo : uint8_t {
-  // The paper's presentation: one full-width bitonic sort by the recovered
-  // destination key, executed under the caller's SortPolicy.
-  kFullSort,
-  // The tag-sort path: sort narrow SortKey{route_dest} tags with the
-  // blocked kernel (fanned out on a wide pool), then route the wide
-  // payloads through one Beneš pass — O(m log^2 m) on 16-byte tags plus
-  // O(m log m) wide conditional swaps instead of O(m log^2 m) full-width
-  // compare-exchanges.
-  kTagSort,
-  // Width-aware crossover: take the tag path when the element is wide
-  // enough and m large enough for the tag sort's fixed costs to pay
-  // (kDistributeTagMinBytes / kDistributeTagMinLen below); otherwise keep
-  // the full-width sort.  Both thresholds are public constants, so the
-  // choice — like every SortPolicy decision — leaks nothing.
-  kAuto,
-};
-
-// Measured crossover for DistributeUndo::kAuto (BENCH_distribute.json):
-// on 16-byte elements the tag array is as wide as the data and the tag
-// path never wins (1.4-1.7x slower at every m); at >= 48 bytes it
-// overtakes the full-width undo sort from ~2^10 slots (1.6x on 72-byte
-// entries at 2^10) and the gap widens with m (2.1x at 2^18 and 2^20;
-// 1.7x on 256-byte rows at 2^18).
-inline constexpr size_t kDistributeTagMinBytes = 48;
-inline constexpr size_t kDistributeTagMinLen = size_t{1} << 10;
 
 // Probabilistic distribution (§5.2, first approach).  All n input elements
 // must be non-null with distinct destinations in [1, a.size()].  The write
 // locations pi(f(x_1)), ..., pi(f(x_n)) are a uniformly random n-subset of
-// the slots, so the trace distribution is input-independent.  `pool` feeds
-// the parallel phases (nullptr = global pool); `undo` selects the unmasking
-// strategy (see DistributeUndo — the default picks by width and size).
+// the slots, so the trace distribution is input-independent.  The undo sort
+// runs under `sort_policy` and fans out on `pool` (nullptr = global pool).
 template <Routable T>
 void ObliviousDistributeProbabilistic(memtrace::OArray<T>& a, size_t n,
                                       uint64_t prp_key,
                                       PrimitiveStats* stats = nullptr,
                                       SortPolicy sort_policy =
                                           SortPolicy::kBlocked,
-                                      ThreadPool* pool = nullptr,
-                                      DistributeUndo undo =
-                                          DistributeUndo::kAuto) {
+                                      ThreadPool* pool = nullptr) {
   const size_t m = a.size();
   OBLIVDB_CHECK_LE(n, m);
   crypto::FeistelPrp prp(m, prp_key);
@@ -116,19 +80,9 @@ void ObliviousDistributeProbabilistic(memtrace::OArray<T>& a, size_t n,
     scattered.Write(s, x);
   }
 
-  // Sorting by the key undoes the permutation's masking.  All m keys are
-  // distinct, and NullsLastByDestLess carries a faithful one-word
-  // projection, so the tag path reproduces the full sort's placement
-  // byte-for-byte (tests/distribute_test.cc pins it across widths).
-  if (undo == DistributeUndo::kAuto) {
-    undo = sizeof(T) >= kDistributeTagMinBytes && m >= kDistributeTagMinLen
-               ? DistributeUndo::kTagSort
-               : DistributeUndo::kFullSort;
-  }
+  // Sorting by the key undoes the permutation's masking.
   uint64_t* comparisons = stats != nullptr ? &stats->sort_comparisons : nullptr;
-  Sort(scattered, NullsLastByDestLess{},
-       undo == DistributeUndo::kTagSort ? SortPolicy::kTagSort : sort_policy,
-       comparisons, pool);
+  Sort(scattered, NullsLastByDestLess{}, sort_policy, comparisons, pool);
 
   for (size_t s = 0; s < m; ++s) a.Write(s, scattered.Read(s));
 }

@@ -58,8 +58,7 @@ template <Routable T>
 void ExpandToDestinations(const memtrace::OArray<T>& x, memtrace::OArray<T>& out,
                           uint64_t m, PrimitiveStats* stats = nullptr,
                           SortPolicy sort_policy = SortPolicy::kBlocked,
-                          ThreadPool* pool = nullptr,
-                          SortPolicy* chosen = nullptr) {
+                          ThreadPool* pool = nullptr) {
   const size_t n = x.size();
   OBLIVDB_CHECK_GE(out.size(), std::max<uint64_t>(n, m));
 
@@ -67,7 +66,7 @@ void ExpandToDestinations(const memtrace::OArray<T>& x, memtrace::OArray<T>& out
   // per-element events as an access loop, one sink test per chunk).
   memtrace::CopySpan(x, 0, out, 0, n);
 
-  ObliviousDistribute(out, n, stats, sort_policy, pool, chosen);
+  ObliviousDistribute(out, n, stats, sort_policy, pool);
 
   // Fill-down: each slot that still holds a null inherits the most recent
   // real element.  The blend touches every slot identically.

@@ -24,10 +24,10 @@
 // confines traced parallel runs to verification-sized inputs, exactly like
 // the vector sinks themselves.
 //
-// obliv::SortRange runs SortPolicy::kBlocked through this kernel (and
-// kTagSort's tag network likewise) whenever its pool has more than one
-// worker and the range reaches kParallelCutoff; obliv::ObliviousMergeRuns
-// fans its merge out the same way (RunParallelNetwork, FanOutPool).  A
+// obliv::SortRange runs SortPolicy::kBlocked through this kernel whenever
+// its pool has more than one worker and the range reaches kParallelCutoff;
+// obliv::ObliviousMergeRuns fans its merge out the same way
+// (RunParallelNetwork, FanOutPool).  A
 // traced range longer than kMaxTracedFanOut streams its events from the
 // sequential kernel instead, so the buffering stays bounded.
 //

@@ -26,7 +26,6 @@
 #include "common/bits.h"
 #include "memtrace/oarray.h"
 #include "obliv/ct.h"
-#include "obliv/sort_key.h"
 
 namespace oblivdb::obliv {
 
@@ -161,16 +160,6 @@ struct NullsLastByDestLess {
     // (null flag asc, dest asc) lexicographically.
     return ct::LessMask(null_a, null_b) |
            (ct::EqMask(null_a, null_b) & ct::LessMask(da, db));
-  }
-
-  // Faithful single-word projection for the tag-sort path: dest - 1 maps
-  // real destinations to their ascending order and wraps the null marker 0
-  // to 2^64 - 1, above any real destination — exactly the (null flag asc,
-  // dest asc) order of operator().
-  static constexpr size_t kSortKeyWords = 1;
-  template <typename T>
-  static SortKey<1> SortKeyOf(const T& e) {
-    return SortKey<1>{{GetRouteDest(e) - 1}};
   }
 };
 

@@ -23,8 +23,8 @@
 // holds for both implementations.
 //
 // This header holds the kernel itself; the SortPolicy dispatcher lives in
-// obliv/sort_kernel.h, which composes this kernel with the parallel and
-// tag-sort execution strategies.
+// obliv/sort_kernel.h, which composes this kernel with the parallel
+// execution strategy.
 
 #ifndef OBLIVDB_OBLIV_SORT_BLOCK_H_
 #define OBLIVDB_OBLIV_SORT_BLOCK_H_

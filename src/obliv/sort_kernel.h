@@ -1,35 +1,20 @@
-// SortPolicy dispatch: one call site, any execution of the same logical
+// SortPolicy dispatch: one call site, either execution of the same logical
 // sort.  The policy vocabulary itself lives in obliv/sort_policy.h (see its
 // header comment for the tier-by-tier contract); this header composes the
-// kernels — reference network, blocked, tag sort, each of the last two
-// fanned out on the pool when it is wider than one worker — and resolves
-// SortPolicy::kAuto through a small measured cost model.
+// kernels — the reference network, and the blocked kernel fanned out on the
+// pool when it is wider than one worker — and holds the small cost model
+// that the run-merge elision (RunMergePays), the shard crossover
+// (core/shard.h) and the optimizer (core/optimizer.h) price sorts with.
 //
-// The kAuto model estimates per-element nanoseconds for every *eligible*
-// tier from four public quantities — element width, tag width (0 when the
-// comparator has no faithful SortKey projection), range length, and pool
-// worker count — and dispatches the argmin.  All four inputs are public
-// configuration or revealed sizes, so the resolution is itself a public
-// function and traced runs stay input-independent.  The per-word constants
-// are fitted to BENCH_sort.json (see README "Sort tiers"):
-//
-//   * the blocked kernel costs ~1 ns per word per compare-exchange while an
-//     element fits the cache line budget, ~2.4 ns once wide elements turn
-//     the network DRAM-bandwidth-bound;
-//   * a Beneš payload gate moves the same words with no comparator at
-//     ~4 ns/word (one conditional swap, (2 log n - 1)/2 gates per element);
-//   * switch planning walks permutation cycles at DRAM latency,
-//     ~25 ns per element per network level.
-//
-// With these constants the model reproduces the measured crossovers: tag
-// sort overtakes the blocked kernel on 72-byte entries between 2^13 and
-// 2^14 and never wins on 16-byte items.  Each tier is credited with the
-// pool's speedup wherever it actually fans out (a multi-worker pool and
-// n >= internal::kParallelCutoff), minus a fixed fork-join cost.
-//
-// Every policy preserves level II obliviousness; the policy choice itself
-// is public configuration.  tests/sort_kernel_test.cc and
-// tests/tag_sort_test.cc pin the equivalences.
+// The model estimates per-element nanoseconds from four public quantities —
+// policy, element width, range length and pool worker count — so every
+// decision built on it is itself a public function and traced runs stay
+// input-independent.  The per-word constants are fitted to BENCH_sort.json:
+// the blocked kernel costs ~1 ns per word per compare-exchange while an
+// element fits the cache line budget, ~2.4 ns once wide elements turn the
+// network DRAM-bandwidth-bound.  A fanned-out sort is credited with the
+// pool's speedup (a multi-worker pool and n >= internal::kParallelCutoff),
+// minus a fixed fork-join cost.
 
 #ifndef OBLIVDB_OBLIV_SORT_KERNEL_H_
 #define OBLIVDB_OBLIV_SORT_KERNEL_H_
@@ -44,7 +29,6 @@
 #include "obliv/parallel_sort.h"
 #include "obliv/sort_block.h"
 #include "obliv/sort_policy.h"
-#include "obliv/tag_sort.h"
 
 namespace oblivdb::obliv {
 
@@ -53,29 +37,14 @@ namespace internal {
 // Measured model constants (ns; see the header comment for provenance).
 inline constexpr double kCachedWordCmpNs = 1.0;   // elements <= 32 bytes
 inline constexpr double kWideWordCmpNs = 2.4;     // elements > 32 bytes
-inline constexpr double kBenesWordSwapNs = 4.0;   // per word per gate
-inline constexpr double kPlanLevelNs = 25.0;      // per element per level
 inline constexpr double kForkJoinNs = 50000.0;    // fixed per parallel sort
 inline constexpr size_t kCachedCmpMaxBytes = 32;
 
-// The parallel-scaling constants of the model.  The defaults are fitted
-// guesses (a wide pass is DRAM-bandwidth-bound, so its speedup saturates
-// around 3 workers; the Beneš switch planner is only per-level parallel,
-// so it caps earlier);
-// CalibrateSortCostModel replaces them with values measured on the actual
-// hardware.  Public configuration either way — the model's inputs and
-// constants never depend on data.
-struct SortCostModel {
-  double parallel_efficiency = 0.6;  // per-extra-worker fraction of linear
-  double wide_speedup_cap = 3.0;     // bandwidth ceiling, wide elements
-  double plan_speedup_cap = 2.0;     // Beneš planning fan-out ceiling
-  bool calibrated = false;           // set by CalibrateSortCostModel
-};
-
-// The process-wide model the kAuto resolution uses: the fitted defaults,
-// or — when OBLIVDB_CALIBRATE=1 — the startup micro-probe's measurements
-// (run once, on first use; see CalibrateSortCostModel in sort_kernel.cc).
-const SortCostModel& CostModel();
+// Parallel scaling: each extra worker adds this fraction of linear speedup,
+// and a pass over wide elements is DRAM-bandwidth-bound, so its speedup
+// saturates at kWideSpeedupCap.  Fitted constants, public either way.
+inline constexpr double kParallelEfficiency = 0.6;
+inline constexpr double kWideSpeedupCap = 3.0;
 
 inline double WordCmpNs(size_t elem_bytes) {
   return elem_bytes <= kCachedCmpMaxBytes ? kCachedWordCmpNs : kWideWordCmpNs;
@@ -87,121 +56,42 @@ inline double NetworkNsPerElement(size_t elem_bytes, double levels) {
          levels * levels / 4.0;
 }
 
-inline double ParallelSpeedup(unsigned workers, double cap) {
-  const double linear =
-      1.0 +
-      CostModel().parallel_efficiency * static_cast<double>(workers - 1);
-  return linear < cap ? linear : cap;
-}
-
 // Speedup of a pass moving elem_bytes-wide elements: compute-bound while
 // the element is cache-line-sized, bandwidth-capped beyond.
 inline double PassSpeedup(size_t elem_bytes, unsigned workers) {
-  return ParallelSpeedup(
-      workers, elem_bytes <= kCachedCmpMaxBytes
-                   ? static_cast<double>(workers)
-                   : CostModel().wide_speedup_cap);
+  const double linear =
+      1.0 + kParallelEfficiency * static_cast<double>(workers - 1);
+  const double cap = elem_bytes <= kCachedCmpMaxBytes
+                         ? static_cast<double>(workers)
+                         : kWideSpeedupCap;
+  return linear < cap ? linear : cap;
 }
 
 }  // namespace internal
 
-// Startup micro-probe: times a few tiny sorts (narrow and wide elements,
-// blocked vs. pool-parallel) and one Beneš switch-planning pass
-// (sequential vs. pool-parallel), and derives measured values for the
-// model's parallel-scaling constants.  With a single-worker pool there is
-// nothing to measure and the fitted defaults are returned (marked
-// calibrated).  Runs in a few milliseconds; everything it touches is
-// synthetic local data, so it leaks nothing.  `pool` = nullptr means
-// ThreadPool::Global().
-//
-// Invoked automatically (once) by internal::CostModel() when the
-// OBLIVDB_CALIBRATE=1 environment variable is set; also callable directly
-// (benches, tests).
-internal::SortCostModel CalibrateSortCostModel(ThreadPool* pool = nullptr);
-
-// Memoizing wrapper: one calibration per pool worker count, shared
-// process-wide behind a mutex, so a service start pays the micro-probe
-// once and every session (and every later QueryService instance) reuses
-// the measurement.  The lock is taken only here — never on the sort hot
-// path, where CostModel() remains a function-local static.  Hit/miss
-// telemetry lands in the artifact cache's calibration counters
-// (obliv/artifact_cache.h, ArtifactCache::Global().stats()).  This is what
-// internal::CostModel() invokes under OBLIVDB_CALIBRATE=1.
-internal::SortCostModel CalibrateSortCostModelShared(ThreadPool* pool =
-                                                         nullptr);
-
 // Estimated per-element cost of running `policy` on n elements of
-// elem_bytes, with tags of tag_bytes (0 = comparator not TagProjectable)
-// and a `workers`-thread pool.  A tier is credited with the pool's speedup
-// exactly where SortRange fans it out (workers > 1, n >= kParallelCutoff).
-// Exposed for the bench and tests; the absolute numbers only matter
-// insofar as they rank the tiers correctly at the decision boundaries.
+// elem_bytes with a `workers`-thread pool.  kBlocked is credited with the
+// pool's speedup exactly where SortRange fans it out (workers > 1,
+// n >= kParallelCutoff).  The absolute numbers only matter insofar as they
+// rank alternatives correctly at the decision boundaries.
 inline double EstimateSortNsPerElement(SortPolicy policy, size_t elem_bytes,
-                                       size_t tag_bytes, size_t n,
-                                       unsigned workers) {
+                                       size_t n, unsigned workers) {
   using namespace internal;
   if (n < 2) return 0.0;
   const double levels = static_cast<double>(Log2Floor(CeilPow2(n)));
-  const double inv_n = 1.0 / static_cast<double>(n);
   const double full_network = NetworkNsPerElement(elem_bytes, levels);
-  const double tag_network = NetworkNsPerElement(tag_bytes, levels);
-  // One Beneš pass: (2 log n - 1)/2 full-width gates per element, plus the
-  // cycle-walking switch planner at kPlanLevelNs per element per level.
-  const double benes_gates = kBenesWordSwapNs *
-                             static_cast<double>(elem_bytes / 8) *
-                             (2.0 * levels - 1.0) / 2.0;
-  const double benes_plan = kPlanLevelNs * levels;
-  const bool fans_out = workers > 1 && n >= kParallelCutoff;
   switch (policy) {
     case SortPolicy::kReference:
       // Four sink-tested by-value accesses per exchange: ~2x the blocked
-      // kernel at every width (BENCH_sort.json); never the argmin, present
-      // for completeness.
+      // kernel at every width (BENCH_sort.json); always sequential.
       return 2.0 * full_network;
     case SortPolicy::kBlocked:
-      if (!fans_out) return full_network;
+      if (workers <= 1 || n < kParallelCutoff) return full_network;
       return full_network / PassSpeedup(elem_bytes, workers) +
-             kForkJoinNs * inv_n;
-    case SortPolicy::kTagSort: {
-      if (!fans_out) return tag_network + benes_gates + benes_plan;
-      // The narrow network fans out compute-bound, the Beneš columns
-      // bandwidth-capped, and the planner per-level (plan_speedup_cap).
-      // The columns are only credited where ApplyParallel actually fans
-      // out (its network-size floor).
-      const double gate_speedup =
-          CeilPow2(n) >= BenesNetwork::kMinParallelApplySize
-              ? PassSpeedup(elem_bytes, workers)
-              : 1.0;
-      return tag_network / PassSpeedup(tag_bytes, workers) +
-             benes_gates / gate_speedup +
-             benes_plan /
-                 ParallelSpeedup(workers, CostModel().plan_speedup_cap) +
-             kForkJoinNs * inv_n;
-    }
-    case SortPolicy::kAuto:
-      break;
+             kForkJoinNs * (1.0 / static_cast<double>(n));
   }
   OBLIVDB_CHECK(false);
   return 0.0;
-}
-
-// Resolves kAuto to the cheapest eligible concrete tier for a sort of n
-// elements of elem_bytes width (tag_bytes = 0 when the comparator has no
-// faithful projection).  Non-kAuto policies pass through unchanged.  The
-// inputs are all public, so the resolution leaks nothing.
-inline SortPolicy ResolveSortPolicy(SortPolicy policy, size_t elem_bytes,
-                                    size_t tag_bytes, size_t n,
-                                    unsigned workers) {
-  if (policy != SortPolicy::kAuto) return policy;
-  SortPolicy best = SortPolicy::kBlocked;
-  double best_ns = EstimateSortNsPerElement(best, elem_bytes, tag_bytes, n,
-                                            workers);
-  if (tag_bytes != 0 && n >= kTagSortMinLen &&
-      EstimateSortNsPerElement(SortPolicy::kTagSort, elem_bytes, tag_bytes,
-                               n, workers) < best_ns) {
-    best = SortPolicy::kTagSort;
-  }
-  return best;
 }
 
 // Cost-model arbiter for the run-merge elision (core/order.h): given two
@@ -225,17 +115,9 @@ bool RunMergePays(SortPolicy policy, size_t n1, bool covered1, size_t n2,
                   bool covered2) {
   const size_t n = n1 + n2;
   if (n < 2) return true;
-  size_t tag_bytes = 0;
-  if constexpr (TagProjectable<Less, T>) {
-    tag_bytes = 8 * (Less::kSortKeyWords + 1);
-  }
   auto sort_ns = [&](size_t len) -> double {
-    if (len < 2) return 0.0;
-    const SortPolicy resolved =
-        ResolveSortPolicy(policy, sizeof(T), tag_bytes, len, /*workers=*/1);
     return static_cast<double>(len) *
-           EstimateSortNsPerElement(resolved, sizeof(T), tag_bytes, len,
-                                    /*workers=*/1);
+           EstimateSortNsPerElement(policy, sizeof(T), len, /*workers=*/1);
   };
   const double full_ns = sort_ns(n);
   // One bitonic merge stage: log2(ceil_pow2(n)) levels of n/2
@@ -248,57 +130,25 @@ bool RunMergePays(SortPolicy policy, size_t n1, bool covered1, size_t n2,
   return merge_ns <= full_ns;
 }
 
-// Policy dispatchers: one call site, any implementation.  `pool` is where
-// the sort fans out — kBlocked's task-parallel network, kTagSort's tag
-// network, Beneš switch planning and column fan-out — whenever it is wider
-// than one worker and the range reaches internal::kParallelCutoff; a
-// width-1 pool runs the sequential kernel of the same tier.  nullptr means
-// the process-wide ThreadPool::Global().  The relational layer passes
-// ExecContext::pool.  `chosen` (optional) receives the concrete tier that
-// ran — interesting under kAuto; operators record it in
-// JoinStats::op_sort_policy_chosen.
+// Policy dispatchers: one call site, either implementation.  `pool` is
+// where a kBlocked sort fans out — the task-parallel network of
+// parallel_sort.h — whenever it is wider than one worker and the range
+// reaches internal::kParallelCutoff; a width-1 pool runs the sequential
+// kernel.  nullptr means the process-wide ThreadPool::Global().  The
+// relational layer passes ExecContext::pool.
 template <typename T, typename Less>
   requires CtLess<Less, T>
 void SortRange(memtrace::OArray<T>& a, size_t lo, size_t len,
                const Less& less, SortPolicy policy,
-               uint64_t* comparisons = nullptr, ThreadPool* pool = nullptr,
-               SortPolicy* chosen = nullptr) {
+               uint64_t* comparisons = nullptr, ThreadPool* pool = nullptr) {
   // Cancellation checkpoint: one per operator sort.  The sort's position
   // and length are public, so the poll is oblivious-safe (common/cancel.h).
   Checkpoint("sort");
-  if (policy == SortPolicy::kAuto) {
-    size_t tag_bytes = 0;
-    if constexpr (TagProjectable<Less, T>) {
-      tag_bytes = 8 * (Less::kSortKeyWords + 1);
-    }
-    // Below the parallel cutoff nothing fans out, so don't touch the pool
-    // at all — ThreadPool::Global() spawns its workers on first use, and a
-    // small kAuto sort should not pay that side effect.
-    unsigned workers = 1;
-    if (len >= internal::kParallelCutoff) {
-      workers = (pool != nullptr ? *pool : ThreadPool::Global())
-                    .worker_count();
-    }
-    policy = ResolveSortPolicy(policy, sizeof(T), tag_bytes, len, workers);
-  }
-  // Resolve every whole-path fallback *before* recording, so `chosen`
-  // reports the tier that actually executes (the contract of
-  // op_sort_policy_chosen and the annotated ExplainPlan).  Comparators
-  // without a faithful projection cannot run the tag tier, and below its
-  // public size floor it runs the blocked kernel outright (a mirror of the
-  // condition inside BitonicSortRangeTagged).
-  if constexpr (!TagProjectable<Less, T>) {
-    if (policy == SortPolicy::kTagSort) policy = SortPolicy::kBlocked;
-  }
-  if (policy == SortPolicy::kTagSort && len < kTagSortMinLen) {
-    policy = SortPolicy::kBlocked;
-  }
-  if (chosen != nullptr) *chosen = policy;
   // Fan-out is a property of the pool, not of the tier (internal::
-  // FanOutPool decides it for both concrete tiers), and the reference
-  // network stays sequential.  A refused spawn probe (graceful
-  // degradation, common/fault.h) runs the sequential kernel of the same
-  // tier: same element order, byte-identical trace, only wall time moves.
+  // FanOutPool decides it), and the reference network stays sequential.
+  // A refused spawn probe (graceful degradation, common/fault.h) runs the
+  // sequential kernel: same element order, byte-identical trace, only wall
+  // time moves.
   switch (policy) {
     case SortPolicy::kBlocked:
       if (ThreadPool* fan = internal::FanOutPool(pool, len)) {
@@ -308,17 +158,8 @@ void SortRange(memtrace::OArray<T>& a, size_t lo, size_t len,
         BitonicSortRangeBlocked(a, lo, len, less, comparisons);
       }
       break;
-    case SortPolicy::kTagSort:
-      if constexpr (TagProjectable<Less, T>) {
-        BitonicSortRangeTagged(a, lo, len, less, comparisons, kSortBlockBytes,
-                               pool);
-      }
-      break;
     case SortPolicy::kReference:
       BitonicSortRange(a, lo, len, less, comparisons);
-      break;
-    case SortPolicy::kAuto:
-      OBLIVDB_CHECK(false);  // resolved above
       break;
   }
 }
@@ -326,9 +167,8 @@ void SortRange(memtrace::OArray<T>& a, size_t lo, size_t len,
 template <typename T, typename Less>
   requires CtLess<Less, T>
 void Sort(memtrace::OArray<T>& a, const Less& less, SortPolicy policy,
-          uint64_t* comparisons = nullptr, ThreadPool* pool = nullptr,
-          SortPolicy* chosen = nullptr) {
-  SortRange(a, 0, a.size(), less, policy, comparisons, pool, chosen);
+          uint64_t* comparisons = nullptr, ThreadPool* pool = nullptr) {
+  SortRange(a, 0, a.size(), less, policy, comparisons, pool);
 }
 
 }  // namespace oblivdb::obliv

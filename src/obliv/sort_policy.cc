@@ -8,22 +8,9 @@ const char* SortPolicyName(SortPolicy policy) {
   switch (policy) {
     case SortPolicy::kReference: return "reference";
     case SortPolicy::kBlocked: return "blocked";
-    case SortPolicy::kTagSort: return "tag";
-    case SortPolicy::kAuto: return "auto";
   }
   OBLIVDB_CHECK(false);
   return "?";
-}
-
-SortPolicy SortPolicyFromName(std::string_view name, SortPolicy fallback) {
-  if (name == "parallel") return SortPolicy::kBlocked;
-  if (name == "parallel_tag") return SortPolicy::kTagSort;
-  for (const SortPolicy policy :
-       {SortPolicy::kReference, SortPolicy::kBlocked, SortPolicy::kTagSort,
-        SortPolicy::kAuto}) {
-    if (name == SortPolicyName(policy)) return policy;
-  }
-  return fallback;
 }
 
 }  // namespace oblivdb::obliv

@@ -1,10 +1,8 @@
-// SortPolicy: one knob, four ways to execute the same logical sort.
+// SortPolicy: one knob, two ways to execute the same logical sort.
 //
 // The enum lives in its own header (rather than obliv/sort_kernel.h, which
-// holds the dispatcher) so that lightweight consumers — core/stats.h records
-// the tier an operator actually ran, core/exec_context.h parses the
-// OBLIVDB_SORT_POLICY default — can name policies without pulling in the
-// sorting-network templates.
+// holds the dispatcher) so that lightweight consumers can name policies
+// without pulling in the sorting-network templates.
 //
 //   kReference   — the recursive network of bitonic_sort.h; four
 //                  individually sink-tested OArray accesses per
@@ -13,59 +11,34 @@
 //   kBlocked     — the cache-blocked kernel of sort_block.h.  Identical
 //                  comparator schedule, element order, comparison count and
 //                  (when traced) bit-identical access trace; simply faster.
-//   kTagSort     — the key/payload-separated path of tag_sort.h: sort narrow
-//                  (key, index) tags, then route the wide payloads through
-//                  one Beneš pass (permute.h).  Same element order and
-//                  comparison count; the access trace is a *different* — but
-//                  still input-independent — function of the range length.
-//                  Requires a faithful SortKey projection (sort_key.h);
-//                  comparators without one fall back to kBlocked.
-//   kAuto        — not an execution tier: SortRange resolves it to one of
-//                  the above via the measured cost model in sort_kernel.h
-//                  (element width, tag width, n, pool size — all public, so
-//                  the resolution leaks nothing).  The resolved tier can be
-//                  recorded per operator (JoinStats::op_sort_policy_chosen)
-//                  and shows up in the annotated ExplainPlan.
+//                  The production kernel.
 //
 // Parallelism is not a tier but a property of the pool SortRange is given:
-// on a pool with more than one worker, a range of at least
-// internal::kParallelCutoff elements runs kBlocked on the task-parallel
-// network of parallel_sort.h and kTagSort with its tag network and Beneš
-// columns fanned out.  Both replay their per-task trace buffers in
+// on a pool with more than one worker, a kBlocked range of at least
+// internal::kParallelCutoff elements runs on the task-parallel network of
+// parallel_sort.h, which replays its per-task trace buffers in
 // sequential-schedule order, so the trace is byte-identical to the
-// sequential run of the same tier; a width-1 pool runs the sequential
-// kernel outright.
+// sequential run; a width-1 pool runs the sequential kernel outright.
 //
-// Every policy preserves level II obliviousness; the policy choice itself
-// is public configuration.  tests/sort_kernel_test.cc and
-// tests/tag_sort_test.cc pin the equivalences.
+// Both policies preserve level II obliviousness and produce the same
+// output and trace; the policy choice itself is public configuration.
+// tests/sort_kernel_test.cc pins the equivalence.
 
 #ifndef OBLIVDB_OBLIV_SORT_POLICY_H_
 #define OBLIVDB_OBLIV_SORT_POLICY_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace oblivdb::obliv {
 
 enum class SortPolicy : uint8_t {
   kReference,  // recursive network, four OArray accesses per exchange
   kBlocked,    // cache-blocked kernel, raw-memory passes inside the block
-  kTagSort,    // narrow tag network + one Beneš payload permutation
-  kAuto,       // resolved per sort by the cost model in sort_kernel.h
 };
 
-// Stable lowercase names ("reference", "blocked", "tag", "auto") — the
-// vocabulary of OBLIVDB_SORT_POLICY, the bench JSON, and the annotated
-// ExplainPlan.
+// Stable lowercase names ("reference", "blocked") — the vocabulary of the
+// bench JSON.
 const char* SortPolicyName(SortPolicy policy);
-
-// Inverse of SortPolicyName.  The names of the retired pool-parallel tiers
-// keep their meaning: "parallel" is kBlocked and "parallel_tag" is
-// kTagSort (the pool width now decides the fan-out).  Returns `fallback`
-// for anything else (including the empty string), so env parsing cannot
-// abort a run.
-SortPolicy SortPolicyFromName(std::string_view name, SortPolicy fallback);
 
 }  // namespace oblivdb::obliv
 

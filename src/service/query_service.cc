@@ -70,7 +70,6 @@ QueryService::QueryService(core::ExecContext base, ServiceOptions options)
   base_.cancel_token = nullptr;
   base_.checkpoint_sink = nullptr;
   base_.deadline_seconds = 0.0;
-  if (!options_.plan_cache) base_.artifact_cache = nullptr;
 
   const unsigned sessions = std::max(1u, options_.sessions);
   const unsigned base_workers = base_.pool_or_global().worker_count();

@@ -14,18 +14,16 @@
 //      (DeriveSeed(base_seed, kSessionSeedStreamBase + rng_stream) — a
 //      stream namespace disjoint from the sharded executor's), and a
 //      session-slot ThreadPool whose size is independent of which slot
-//      runs the query (all slots have equal budgets, so policy resolution
+//      runs the query (all slots have equal budgets, so shard decisions
 //      and traces cannot depend on placement).  A query's output — and,
 //      for traced queries, its public-memory trace — is byte-identical to
 //      a solo Executor run under MakeSessionContext(options)
 //      (tests/service_test.cc pins it).
 //
-//   2. Shape-keyed caching.  Two caches, both keyed on public state only:
-//      the process/context ArtifactCache (obliv/artifact_cache.h) reuses
-//      Beneš switch plans and calibration probes across queries, and the
-//      service PlanCache (service/plan_cache.h) reuses optimized plans
-//      (identity hits) and revealed-size feedback (shape hits).  Hits
-//      change wall time, never a trace or an output.
+//   2. Shape-keyed caching.  The service PlanCache (service/plan_cache.h),
+//      keyed on public state only, reuses optimized plans (identity hits)
+//      and revealed-size feedback (shape hits).  Hits change wall time,
+//      never a trace or an output.
 //
 // Traced queries are exclusive: the trace instrumentation is
 // process-global (memtrace/trace.h — one sink pointer, one array-id
@@ -89,6 +87,7 @@
 #include "common/thread_pool.h"
 #include "core/exec_context.h"
 #include "core/plan.h"
+#include "obliv/artifact_cache.h"
 #include "service/admission.h"
 #include "service/breaker.h"
 #include "service/plan_cache.h"
@@ -105,9 +104,8 @@ struct ServiceOptions {
 
   unsigned sessions = DefaultSessions();
   size_t queue_capacity = 64;
-  // Master switch for both cache layers: when false the service's queries
-  // run with artifact_cache = nullptr and the PlanCache is bypassed.
-  // Defaults to the OBLIVDB_PLAN_CACHE-driven process default.
+  // Master switch for the PlanCache: when false it is bypassed.  Defaults
+  // to the OBLIVDB_PLAN_CACHE-driven process default.
   bool plan_cache = obliv::ArtifactCache::DefaultEnabled();
   size_t plan_cache_capacity = PlanCache::kDefaultCapacity;
 
@@ -127,7 +125,7 @@ struct ServiceOptions {
 class QueryService {
  public:
   // `base` supplies the public execution knobs every session inherits
-  // (sort policy, elision, optimize, shards, rng root, artifact cache);
+  // (sort policy, elision, optimize, shards, rng root);
   // its per-query fields (stats, sinks, token, pool) are ignored — those
   // come from each query's SessionOptions.
   explicit QueryService(core::ExecContext base, ServiceOptions options = {});

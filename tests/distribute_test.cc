@@ -168,16 +168,15 @@ TEST(ProbabilisticDistributeTest, SameKeySameTrace) {
   EXPECT_TRUE(run({1, 5, 9, 13}).SameTraceAs(run({1, 5, 9, 13})));
 }
 
-// --- Tag-sort-backed PRP undo ------------------------------------------------
+// --- PRP undo on wide elements ----------------------------------------------
 
-// 48-byte element: sits exactly on kDistributeTagMinBytes, so it crosses to
-// the tag undo on size alone.
+// 48-byte element: wider than the 32-byte cache-resident budget of the
+// blocked kernel's cost model.
 struct WideSlot {
   uint64_t value = 0;
   uint64_t dest = 0;
   uint64_t pad[4] = {};
 };
-static_assert(sizeof(WideSlot) == kDistributeTagMinBytes);
 uint64_t GetRouteDest(const WideSlot& s) { return s.dest; }
 void SetRouteDest(WideSlot& s, uint64_t d) { s.dest = d; }
 
@@ -210,90 +209,27 @@ memtrace::OArray<T> MakeFullInjection(size_t m, uint64_t seed,
   return arr;
 }
 
-// The tag undo must reproduce the full-width undo sort's placement
-// byte-for-byte, at every width and on both sides of the kAuto crossover
-// boundary (the undo keys are distinct and NullsLastByDestLess's
-// projection is faithful, so the permutations are identical by
-// construction — this pins it).
+// The undo sort runs under the caller's policy: the reference network and
+// the blocked kernel must place every element identically, byte for byte.
 template <typename T>
-void ExpectUndoPathsAgree(size_t m, uint64_t seed) {
-  auto full = MakeFullInjection<T>(m, seed, "undo_full");
-  auto tagged = MakeFullInjection<T>(m, seed, "undo_tag");
-  ObliviousDistributeProbabilistic(full, m, /*prp_key=*/seed * 3 + 1, nullptr,
-                                   SortPolicy::kBlocked, nullptr,
-                                   DistributeUndo::kFullSort);
-  ObliviousDistributeProbabilistic(tagged, m, /*prp_key=*/seed * 3 + 1,
-                                   nullptr, SortPolicy::kBlocked, nullptr,
-                                   DistributeUndo::kTagSort);
-  ASSERT_EQ(Bytes(full), Bytes(tagged)) << "m=" << m;
+void ExpectUndoPoliciesAgree(size_t m, uint64_t seed) {
+  auto reference = MakeFullInjection<T>(m, seed, "undo_ref");
+  auto blocked = MakeFullInjection<T>(m, seed, "undo_blk");
+  ObliviousDistributeProbabilistic(reference, m, /*prp_key=*/seed * 3 + 1,
+                                   nullptr, SortPolicy::kReference);
+  ObliviousDistributeProbabilistic(blocked, m, /*prp_key=*/seed * 3 + 1,
+                                   nullptr, SortPolicy::kBlocked);
+  ASSERT_EQ(Bytes(reference), Bytes(blocked)) << "m=" << m;
   for (size_t p = 0; p < m; ++p) {
-    ASSERT_EQ(full.Read(p).value, 4000 + p + 1) << "slot " << p;
+    ASSERT_EQ(blocked.Read(p).value, 4000 + p + 1) << "slot " << p;
   }
 }
 
-TEST(ProbabilisticDistributeTest, UndoPathsAgreeByteForByteAcrossWidths) {
+TEST(ProbabilisticDistributeTest, UndoPoliciesAgreeByteForByteAcrossWidths) {
   for (const size_t m : {size_t{64}, size_t{100}, size_t{1} << 10}) {
-    ExpectUndoPathsAgree<Slot>(m, m);
-    ExpectUndoPathsAgree<WideSlot>(m, m + 1);
+    ExpectUndoPoliciesAgree<Slot>(m, m);
+    ExpectUndoPoliciesAgree<WideSlot>(m, m + 1);
   }
-}
-
-TEST(ProbabilisticDistributeTest, UndoPathsAgreeAtTheCrossoverBoundary) {
-  // Just below and exactly at the kAuto size threshold, on the width that
-  // sits exactly at the byte threshold.
-  ExpectUndoPathsAgree<WideSlot>(kDistributeTagMinLen - 3, 5);
-  ExpectUndoPathsAgree<WideSlot>(kDistributeTagMinLen, 6);
-}
-
-// Which path kAuto took is observable from the trace: it must match the
-// forced full-sort path for narrow-or-small inputs and the forced tag path
-// for wide-and-large inputs.
-template <typename T>
-std::string UndoTraceDigest(size_t m, DistributeUndo undo) {
-  memtrace::HashTraceSink sink;
-  std::string digest;
-  {
-    memtrace::TraceScope scope(&sink);
-    auto arr = MakeFullInjection<T>(m, m * 7 + 2, "undo_auto");
-    ObliviousDistributeProbabilistic(arr, m, /*prp_key=*/77, nullptr,
-                                     SortPolicy::kBlocked, nullptr, undo);
-    digest = sink.HexDigest();
-  }
-  return digest;
-}
-
-TEST(ProbabilisticDistributeTest, AutoUndoCrossesOverByWidthAndSize) {
-  // Narrow element: full sort regardless of size.
-  EXPECT_EQ(UndoTraceDigest<Slot>(kDistributeTagMinLen,
-                                  DistributeUndo::kAuto),
-            UndoTraceDigest<Slot>(kDistributeTagMinLen,
-                                  DistributeUndo::kFullSort));
-  // Wide element below the size threshold: still the full sort.
-  EXPECT_EQ(UndoTraceDigest<WideSlot>(512, DistributeUndo::kAuto),
-            UndoTraceDigest<WideSlot>(512, DistributeUndo::kFullSort));
-  // Wide element at the threshold: the tag path.
-  EXPECT_EQ(UndoTraceDigest<WideSlot>(kDistributeTagMinLen,
-                                      DistributeUndo::kAuto),
-            UndoTraceDigest<WideSlot>(kDistributeTagMinLen,
-                                      DistributeUndo::kTagSort));
-  // And the two strategies genuinely differ in their public sequences.
-  EXPECT_NE(UndoTraceDigest<WideSlot>(kDistributeTagMinLen,
-                                      DistributeUndo::kFullSort),
-            UndoTraceDigest<WideSlot>(kDistributeTagMinLen,
-                                      DistributeUndo::kTagSort));
-}
-
-TEST(ProbabilisticDistributeTest, TagUndoSameKeySameTrace) {
-  auto run = [](const std::vector<uint64_t>& dests) {
-    memtrace::VectorTraceSink sink;
-    memtrace::TraceScope scope(&sink);
-    auto arr = MakeInput(dests, 64);
-    ObliviousDistributeProbabilistic(arr, dests.size(), /*prp_key=*/9,
-                                     nullptr, SortPolicy::kBlocked, nullptr,
-                                     DistributeUndo::kTagSort);
-    return sink;
-  };
-  EXPECT_TRUE(run({1, 5, 9, 13}).SameTraceAs(run({1, 5, 9, 13})));
 }
 
 TEST(DistributeTest, BothVariantsAgree) {

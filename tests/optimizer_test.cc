@@ -27,9 +27,8 @@ using core::PlanOp;
 using core::PlanPtr;
 using core::PlanResult;
 
-const obliv::SortPolicy kAllPolicies[] = {
-    obliv::SortPolicy::kReference, obliv::SortPolicy::kBlocked,
-    obliv::SortPolicy::kTagSort, obliv::SortPolicy::kAuto};
+const obliv::SortPolicy kAllPolicies[] = {obliv::SortPolicy::kReference,
+                                           obliv::SortPolicy::kBlocked};
 
 // Multi-group tables with keys in [0, key_range): joins have real groups,
 // distincts have duplicates, and `variant` moves only payload contents —

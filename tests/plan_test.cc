@@ -31,9 +31,8 @@ using core::Executor;
 using core::PlanPtr;
 using core::PlanResult;
 
-const obliv::SortPolicy kAllPolicies[] = {
-    obliv::SortPolicy::kReference, obliv::SortPolicy::kBlocked,
-    obliv::SortPolicy::kTagSort, obliv::SortPolicy::kAuto};
+const obliv::SortPolicy kAllPolicies[] = {obliv::SortPolicy::kReference,
+                                           obliv::SortPolicy::kBlocked};
 
 Table SmallT1() {
   return Table("t1", {{1, 10}, {1, 11}, {2, 20}, {3, 30}, {3, 30}, {5, 50}});
@@ -321,15 +320,13 @@ TEST(PlanExplainTest, RendersTree) {
             "    scan(t2)\n");
 }
 
-// The annotated overload renders the tiers each node's sorts actually ran
-// on — the observable face of SortPolicy::kAuto.  At these input sizes the
-// cost model resolves every sort to the blocked kernel, which makes the
-// expectation exact and machine-independent.
-TEST(PlanExplainTest, AnnotatedExplainShowsChosenSortTier) {
+// The annotated overload renders each node's revealed output size; a node
+// whose sorts all ran (no elision, no sharding, no faults) carries no other
+// marker.
+TEST(PlanExplainTest, AnnotatedExplainShowsRevealedSizes) {
   const PlanPtr plan =
       core::Distinct(core::Join(core::Scan(SmallT1()), core::Scan(SmallT2())));
   ExecContext ctx;
-  ctx.sort_policy = obliv::SortPolicy::kAuto;
   ctx.shards = 1;  // exact-render check assumes no "shards=k" annotation
   Executor ex(ctx);
   (void)ex.Execute(plan);
@@ -338,14 +335,12 @@ TEST(PlanExplainTest, AnnotatedExplainShowsChosenSortTier) {
   const std::string annotated = core::ExplainPlan(plan, ex.node_stats());
   const std::string expected =
       "distinct [rows=" + std::to_string(ex.node_stats()[3].output_rows) +
-      " sort=blocked]\n"
+      "]\n"
       "  join [rows=" + std::to_string(ex.node_stats()[2].output_rows) +
-      " sort=blocked]\n"
+      "]\n"
       "    scan(t1) [rows=6]\n"
       "    scan(t2) [rows=4]\n";
   EXPECT_EQ(annotated, expected);
-  // The sentinel never leaks into the rendering.
-  EXPECT_EQ(annotated.find("sort=auto"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -591,9 +586,8 @@ TEST(PlanElisionTest, DistinctOverAggregateElides) {
   EXPECT_EQ(r.table.rows(), ex_off.Execute(plan).table.rows());
 }
 
-// The annotated explain renders elisions: a node whose only sort was
-// skipped shows `sort=elided` alone; a node that still ran other sorts
-// shows its tier plus the marker.
+// The annotated explain renders elisions as `sort=elided`, both on a node
+// that still ran other sorts and on one whose only sort was skipped.
 TEST(PlanExplainTest, AnnotatedExplainShowsElision) {
   const PlanPtr plan = core::Join(core::Distinct(core::Scan(SmallT1())),
                                   core::Distinct(core::Scan(SmallT2())));
@@ -607,8 +601,11 @@ TEST(PlanExplainTest, AnnotatedExplainShowsElision) {
   (void)ex.Execute(plan);
   const std::string annotated = core::ExplainPlan(plan, ex.node_stats());
   // The join merged its entry sort away but still ran expand/align sorts.
-  EXPECT_NE(annotated.find("join [rows="), std::string::npos);
-  EXPECT_NE(annotated.find("sort=blocked sort=elided"), std::string::npos);
+  const size_t join_at = annotated.find("join [rows=");
+  ASSERT_NE(join_at, std::string::npos);
+  const std::string join_line =
+      annotated.substr(join_at, annotated.find('\n', join_at) - join_at);
+  EXPECT_NE(join_line.find(" sort=elided"), std::string::npos);
 
   const PlanPtr skip = core::Distinct(core::Distinct(core::Scan(SmallT1())));
   Executor ex2(ctx);
@@ -617,7 +614,6 @@ TEST(PlanExplainTest, AnnotatedExplainShowsElision) {
   const std::string outer_line = skip_annotated.substr(
       0, skip_annotated.find('\n'));
   EXPECT_NE(outer_line.find("sort=elided"), std::string::npos);
-  EXPECT_EQ(outer_line.find("sort=blocked"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -627,12 +623,9 @@ TEST(PlanExplainTest, AnnotatedExplainShowsElision) {
 // elements fans out on a pool wider than one worker (traced, up to
 // obliv::internal::kMaxTracedFanOut).  At 2^13 rows the join, aggregate
 // and distinct plans' sorts and merges all do, so for every policy the
-// root output bytes and the elided-sort count must be the same at widths
-// 1, 2 and 4 — and so must the trace for every concrete tier.  The trace
-// is compared by memtrace::DigestTraceSink, since the per-event SHA-256 of
-// HashTraceSink is too slow for these plans.
-// (kAuto's resolution is a public function of the worker count, so which
-// tier runs — and with it the trace — may change with the width.)
+// root output bytes, the elided-sort count and the trace must be the same
+// at widths 1, 2 and 4.  The trace is compared by memtrace::DigestTraceSink,
+// since the per-event SHA-256 of HashTraceSink is too slow for these plans.
 TEST(PlanPoolWidthTest, OutputTraceAndElisionIdenticalAcrossWidths) {
   constexpr size_t kRows = size_t{1} << 13;
   static_assert(kRows >= obliv::internal::kParallelCutoff);
@@ -688,9 +681,7 @@ TEST(PlanPoolWidthTest, OutputTraceAndElisionIdenticalAcrossWidths) {
         EXPECT_EQ(run.result.aggregate_rows,
                   sequential->result.aggregate_rows)
             << where;
-        if (policy != obliv::SortPolicy::kAuto) {
-          EXPECT_EQ(run.trace, sequential->trace) << where;
-        }
+        EXPECT_EQ(run.trace, sequential->trace) << where;
         EXPECT_EQ(run.sorts_elided, sequential->sorts_elided) << where;
       }
     }

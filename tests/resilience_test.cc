@@ -24,7 +24,6 @@
 #include "common/status.h"
 #include "core/exec_context.h"
 #include "core/plan.h"
-#include "obliv/artifact_cache.h"
 #include "obliv/ct.h"
 #include "service/admission.h"
 #include "service/breaker.h"
@@ -79,12 +78,6 @@ PlanPtr SmallJoin(uint64_t variant) {
   return core::Join(core::Scan(FactTable("rf", 64, 8, variant)),
                     KeyUniqueScan(DimTable("rd", 8, variant)));
 }
-
-struct PrivateCacheContext {
-  obliv::ArtifactCache cache;
-  ExecContext ctx;
-  PrivateCacheContext() { ctx.artifact_cache = &cache; }
-};
 
 // ---------------------------------------------------------------------------
 // Backoff: a pure function of (policy, attempt, seed) — deterministic,
@@ -175,10 +168,10 @@ TEST(AnnotateTest, ChainsOperatorNamesOntoTheMessage) {
 }
 
 TEST(AnnotateTest, ExecutorReportsTheNodePathOfAnInjectedFault) {
-  PrivateCacheContext base;
+  ExecContext base;
   const PlanPtr plan = core::Distinct(SmallJoin(1));
   ScopedFaultInjection scoped("alloc:once");
-  Executor ex(base.ctx);
+  Executor ex(base);
   StatusOr<core::PlanResult> r = ex.TryRun(plan);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
@@ -192,9 +185,9 @@ TEST(AnnotateTest, ExecutorReportsTheNodePathOfAnInjectedFault) {
 // of silently running un-faulted.
 
 TEST(ServiceStartupTest, CreateRejectsMalformedFaultSpec) {
-  PrivateCacheContext base;
+  ExecContext base;
   setenv("OBLIVDB_FAULT_SPEC", "bogus_site:0.5", 1);
-  auto bad = QueryService::Create(base.ctx);
+  auto bad = QueryService::Create(base);
   unsetenv("OBLIVDB_FAULT_SPEC");
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
@@ -204,14 +197,14 @@ TEST(ServiceStartupTest, CreateRejectsMalformedFaultSpec) {
 }
 
 TEST(ServiceStartupTest, CreateAcceptsValidAndUnsetFaultSpecs) {
-  PrivateCacheContext base;
+  ExecContext base;
   setenv("OBLIVDB_FAULT_SPEC", "alloc:off", 1);
-  auto valid = QueryService::Create(base.ctx);
+  auto valid = QueryService::Create(base);
   unsetenv("OBLIVDB_FAULT_SPEC");
   ASSERT_TRUE(valid.ok());
   (*valid)->Close();
 
-  auto unset = QueryService::Create(base.ctx);
+  auto unset = QueryService::Create(base);
   ASSERT_TRUE(unset.ok());
   (*unset)->Close();
 }
@@ -221,12 +214,12 @@ TEST(ServiceStartupTest, CreateAcceptsValidAndUnsetFaultSpecs) {
 // rescued output is byte-identical to a solo fault-free run.
 
 TEST(TransparentRetryTest, RescuesATransientAllocFaultByteIdentically) {
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 1;
   opts.retry.max_attempts = 3;
   opts.retry.backoff.base_ms = 0;  // instant retries; still counted
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
   const PlanPtr plan = SmallJoin(2);
 
   std::vector<Record> expected;
@@ -248,11 +241,11 @@ TEST(TransparentRetryTest, RescuesATransientAllocFaultByteIdentically) {
 }
 
 TEST(TransparentRetryTest, DisabledRetrySurfacesTheFault) {
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 1;
   opts.retry.max_attempts = 1;  // off
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
 
   ScopedFaultInjection scoped("alloc:once");
   auto r = svc.Run(SmallJoin(3));
@@ -265,12 +258,12 @@ TEST(TransparentRetryTest, DisabledRetrySurfacesTheFault) {
 TEST(TransparentRetryTest, SinkCarryingQueriesNeverRetryTransparently) {
   // A stats/trace sink must observe exactly one execution, so the service
   // surfaces the transient and lets the client retry with a fresh sink.
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 1;
   opts.retry.max_attempts = 3;
   opts.retry.backoff.base_ms = 0;
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
 
   core::CollectingStatsSink sink;
   SessionOptions sess;
@@ -287,10 +280,10 @@ TEST(TransparentRetryTest, SinkCarryingQueriesNeverRetryTransparently) {
 // its slot, and the rerun is byte-identical.
 
 TEST(WorkerCrashTest, CrashedWorkerRequeuesRespawnsAndReruns) {
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 1;  // the single slot must survive its own death
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
   const PlanPtr plan = SmallJoin(5);
 
   std::vector<Record> expected;
@@ -316,10 +309,10 @@ TEST(WorkerCrashTest, CrashedWorkerRequeuesRespawnsAndReruns) {
 }
 
 TEST(WorkerCrashTest, TwiceOrphanedQueryResolvesUnavailable) {
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 1;
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
   {
     // Every pop crashes the worker: requeue once, then stop cycling.
     ScopedFaultInjection scoped("worker_crash:1");
@@ -430,13 +423,13 @@ TEST(CircuitBreakerTest, ZeroThresholdDisablesTheGate) {
 // Submit, then recovers through a half-open probe once the fault clears.
 
 TEST(ServiceBreakerTest, OpenCircuitFastFailsSubmitThenRecovers) {
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 1;
   opts.retry.max_attempts = 1;  // failures surface immediately
   opts.breaker.trip_threshold = 2;
   opts.breaker.cooldown_rejects = 1;
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
   const PlanPtr plan = SmallJoin(7);
 
   std::vector<Record> expected;
@@ -568,8 +561,8 @@ struct Gate {
 };
 
 TEST(DrainTest, IdleDrainReportsNothingAndStopsAdmission) {
-  PrivateCacheContext base;
-  QueryService svc(base.ctx, ServiceOptions{});
+  ExecContext base;
+  QueryService svc(base, ServiceOptions{});
   ASSERT_TRUE(svc.Run(SmallJoin(8)).ok());
 
   const QueryService::DrainReport report = svc.Drain(1.0);
@@ -602,10 +595,10 @@ TEST(DrainTest, DeadlineCancelsInFlightAndFlushesQueued) {
                    /*key_only=*/false),
       KeyUniqueScan(DimTable("bd", 6, 1)));
 
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 1;  // the blocker pins the only worker
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
 
   auto pb = svc.Submit(blocker);
   ASSERT_TRUE(pb.ok());

@@ -256,17 +256,17 @@ TEST(FaultSiteTest, AllocFaultReturnsResourceExhaustedUnderScope) {
   EXPECT_TRUE(again.ok());
 }
 
-// A refused spawn probe runs the sequential kernel of the *same* tier: the
-// degradation is counted, the reported tier is unchanged, and output and
-// trace equal the clean fanned-out run's.  OneToOne(2^13) puts 2^12 rows
-// in each table, so the join's sorts reach the fan-out cutoff.
+// A refused spawn probe runs the sequential blocked kernel: the
+// degradation is counted, and output and trace equal the clean fanned-out
+// run's.  OneToOne(2^13) puts 2^12 rows in each table, so the join's sorts
+// reach the fan-out cutoff.
 TEST(FaultSiteTest, PoolSpawnFaultRunsSameTierSequentially) {
   const auto tc = workload::OneToOne(size_t{1} << 13, 7);
   ThreadPool pool(4);
   auto run = [&](const char* spec, core::JoinStats* stats,
                  std::string* trace) {
     core::ExecContext ctx;
-    ctx.sort_policy = obliv::SortPolicy::kTagSort;
+    ctx.sort_policy = obliv::SortPolicy::kBlocked;
     ctx.pool = &pool;
     ctx.stats = stats;
     // An explicit spec (even the empty one) overrides an ambient
@@ -287,8 +287,6 @@ TEST(FaultSiteTest, PoolSpawnFaultRunsSameTierSequentially) {
   const auto faulty = run("pool_spawn:1", &faulty_stats, &faulty_trace);
   EXPECT_EQ(clean, faulty);
   EXPECT_EQ(clean_trace, faulty_trace);
-  EXPECT_EQ(faulty_stats.op_sort_policy_chosen, obliv::SortPolicy::kTagSort);
-  EXPECT_EQ(clean_stats.op_sort_policy_chosen, obliv::SortPolicy::kTagSort);
   EXPECT_GT(faulty_stats.op_degradations, 0u);
   EXPECT_GT(faulty_stats.op_faults_injected, 0u);
   EXPECT_EQ(clean_stats.op_degradations, 0u);
@@ -299,7 +297,6 @@ TEST(FaultSiteTest, PoolSpawnFaultDowngradesSortInPlace) {
   ASSERT_GE(n, obliv::internal::kParallelCutoff);
   ThreadPool pool(4);
   auto sort_once = [&](const char* spec, uint64_t* degradations,
-                       obliv::SortPolicy policy, obliv::SortPolicy* chosen,
                        memtrace::VectorTraceSink* sink) {
     ScopedFaultInjection scoped(spec);
     memtrace::TraceScope scope(sink);
@@ -307,35 +304,26 @@ TEST(FaultSiteTest, PoolSpawnFaultDowngradesSortInPlace) {
     for (size_t i = 0; i < n; ++i) {
       a.Write(i, MakeEntry(Record{(i * 37) % 64, {i, i + 1}}, /*tid=*/1));
     }
-    obliv::SortRange(a, 0, n, core::ByJoinKeyThenTidLess{}, policy, nullptr,
-                     &pool, chosen);
+    obliv::SortRange(a, 0, n, core::ByJoinKeyThenTidLess{},
+                     obliv::SortPolicy::kBlocked, nullptr, &pool);
     *degradations = FaultInjector::Global().Snapshot().degradations;
     memtrace::TracePause untraced;
     std::vector<Entry> out(n);
     for (size_t i = 0; i < n; ++i) out[i] = a.Read(i);
     return out;
   };
-  for (const obliv::SortPolicy policy :
-       {obliv::SortPolicy::kBlocked, obliv::SortPolicy::kTagSort}) {
-    uint64_t clean_degradations = 0, faulty_degradations = 0;
-    obliv::SortPolicy clean_chosen = obliv::SortPolicy::kAuto;
-    obliv::SortPolicy faulty_chosen = obliv::SortPolicy::kAuto;
-    memtrace::VectorTraceSink clean_trace, faulty_trace;
-    const auto clean = sort_once("", &clean_degradations, policy,
-                                 &clean_chosen, &clean_trace);
-    const auto faulty = sort_once("pool_spawn:once", &faulty_degradations,
-                                  policy, &faulty_chosen, &faulty_trace);
-    const char* name = obliv::SortPolicyName(policy);
-    EXPECT_EQ(clean_degradations, 0u) << name;
-    EXPECT_EQ(faulty_degradations, 1u) << name;
-    EXPECT_EQ(clean_chosen, policy) << name;
-    EXPECT_EQ(faulty_chosen, policy) << name;
-    EXPECT_TRUE(clean_trace.SameTraceAs(faulty_trace)) << name;
-    ASSERT_EQ(clean.size(), faulty.size());
-    for (size_t i = 0; i < clean.size(); ++i) {
-      EXPECT_EQ(std::memcmp(&clean[i], &faulty[i], sizeof(Entry)), 0)
-          << name << " at " << i;
-    }
+  uint64_t clean_degradations = 0, faulty_degradations = 0;
+  memtrace::VectorTraceSink clean_trace, faulty_trace;
+  const auto clean = sort_once("", &clean_degradations, &clean_trace);
+  const auto faulty =
+      sort_once("pool_spawn:once", &faulty_degradations, &faulty_trace);
+  EXPECT_EQ(clean_degradations, 0u);
+  EXPECT_EQ(faulty_degradations, 1u);
+  EXPECT_TRUE(clean_trace.SameTraceAs(faulty_trace));
+  ASSERT_EQ(clean.size(), faulty.size());
+  for (size_t i = 0; i < clean.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&clean[i], &faulty[i], sizeof(Entry)), 0)
+        << "at " << i;
   }
 }
 
@@ -599,6 +587,9 @@ class StallAtSortPassSink : public RecordingCheckpointSink {
 // sequence fixed by the length and the pool width.  A deadline that
 // expires after the sort's entry poll fires at the first of them.
 TEST(CancellationTest, DeadlineFiresInsideFannedOutSort) {
+  // Both sorts must fan out: an ambient spawn-refusal spec would send one
+  // of them down the sequential kernel, which polls a different sequence.
+  ScopedFaultInjection no_faults(FaultSpec{});
   const size_t n = size_t{1} << 16;
   ASSERT_GE(n, obliv::internal::kParallelCutoff);
   ThreadPool pool(4);

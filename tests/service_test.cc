@@ -3,7 +3,7 @@
 // Executor runs across every cache/session-count setting, fully private
 // telemetry, strict FIFO admission, and per-query cancellation/deadline/
 // queue-full rejection that never perturbs a neighbour — while the
-// shape-keyed plan and artifact caches change only wall time.
+// shape-keyed plan cache changes only wall time.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "core/optimizer.h"
 #include "core/plan.h"
 #include "memtrace/sinks.h"
-#include "obliv/artifact_cache.h"
 #include "obliv/ct.h"
 #include "obliv/sort_kernel.h"
 #include "service/admission.h"
@@ -69,14 +68,6 @@ uint64_t KeyBelow(const Record& r, uint64_t bound) {
   return ct::LeqMask(r.key + 1, bound);
 }
 
-// A base context with a private artifact cache, immune to the
-// OBLIVDB_PLAN_CACHE process default (tests must not share cache state).
-struct PrivateCacheContext {
-  obliv::ArtifactCache cache;
-  ExecContext ctx;
-  PrivateCacheContext() { ctx.artifact_cache = &cache; }
-};
-
 // The mixed workload the isolation tests submit: distinct shapes whose
 // operator sets barely overlap (telemetry cross-talk would be visible).
 std::vector<PlanPtr> Workload() {
@@ -102,8 +93,8 @@ TEST(QueryServiceTest, ByteIdenticalAcrossCacheAndSessions) {
   // publishes (same worker budget, same derived seed).
   std::vector<std::vector<Record>> expected;
   {
-    PrivateCacheContext base;
-    QueryService ref_service(base.ctx, ServiceOptions{});
+    ExecContext base;
+    QueryService ref_service(base, ServiceOptions{});
     const ExecContext solo = ref_service.MakeSessionContext(SessionOptions{});
     for (const PlanPtr& p : plans) {
       Executor ex(solo);
@@ -113,11 +104,11 @@ TEST(QueryServiceTest, ByteIdenticalAcrossCacheAndSessions) {
 
   for (const bool cache_on : {false, true}) {
     for (const unsigned sessions : {1u, 4u}) {
-      PrivateCacheContext base;
+      ExecContext base;
       ServiceOptions opts;
       opts.sessions = sessions;
       opts.plan_cache = cache_on;
-      QueryService svc(base.ctx, opts);
+      QueryService svc(base, opts);
       // Two rounds so the second hits every warm cache path.
       for (int round = 0; round < 2; ++round) {
         std::vector<std::shared_ptr<PendingQuery>> pending;
@@ -151,10 +142,10 @@ TEST(QueryServiceTest, ConcurrentTracedSessionsMatchSoloTraces) {
   const PlanPtr plan_b = core::Join(core::Scan(FactTable("fb", 48, 6, 2)),
                                     KeyUniqueScan(DimTable("db", 6, 2)));
 
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 2;
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
 
   SessionOptions sess_a;
   sess_a.rng_stream = 1;
@@ -203,10 +194,10 @@ TEST(QueryServiceTest, StatsSinksAreIsolatedAcrossConcurrentSessions) {
   const PlanPtr distinct_plan =
       core::Distinct(core::Scan(FactTable("fd", 80, 10, 2)));
 
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 2;
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
 
   // Solo op sequences under the same session context.
   auto solo_ops = [&](const PlanPtr& p) {
@@ -254,10 +245,10 @@ TEST(QueryServiceTest, CancellingOneSessionLeavesTheOtherByteIdentical) {
   const PlanPtr survivor = core::Join(core::Scan(FactTable("fs", 64, 8, 2)),
                                       KeyUniqueScan(DimTable("ds", 8, 2)));
 
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 2;
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
 
   std::vector<Record> expected;
   {
@@ -286,16 +277,16 @@ TEST(QueryServiceTest, CancellingOneSessionLeavesTheOtherByteIdentical) {
 // Status-typed rejection.
 
 TEST(QueryServiceTest, NullPlanIsInvalidArgument) {
-  PrivateCacheContext base;
-  QueryService svc(base.ctx, ServiceOptions{});
+  ExecContext base;
+  QueryService svc(base, ServiceOptions{});
   auto r = svc.Submit(nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(QueryServiceTest, DeadlineBeforeAdmissionIsDeadlineExceeded) {
-  PrivateCacheContext base;
-  QueryService svc(base.ctx, ServiceOptions{});
+  ExecContext base;
+  QueryService svc(base, ServiceOptions{});
   SessionOptions sess;
   sess.deadline_seconds = 1e-12;  // expires before any worker can pop it
   auto r = svc.Run(core::Distinct(core::Scan(FactTable("fx", 40, 5, 1))),
@@ -394,10 +385,10 @@ TEST(QueryServiceTest, ExpiredQueuedQueryFailsAlone) {
   const PlanPtr repeated = core::Join(core::Scan(FactTable("fr", 64, 8, 2)),
                                       KeyUniqueScan(DimTable("dr", 8, 2)));
 
-  PrivateCacheContext base;
+  ExecContext base;
   ServiceOptions opts;
   opts.sessions = 1;
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
 
   std::vector<Record> expected;
   {
@@ -437,42 +428,26 @@ TEST(QueryServiceTest, ExpiredQueuedQueryFailsAlone) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan cache: a repeat of the same plan object is an identity hit, warms
-// the artifact cache, and the annotated explain renders cache=hit.
+// Plan cache: a repeat of the same plan object is an identity hit.
 
-TEST(QueryServiceTest, RepeatQueryHitsPlanAndArtifactCaches) {
-  PrivateCacheContext base;
-  base.ctx.sort_policy = obliv::SortPolicy::kTagSort;  // Beneš-planning tier
-  base.ctx.optimize = true;
+TEST(QueryServiceTest, RepeatQueryHitsPlanCache) {
+  ExecContext base;
+  base.optimize = true;
   ServiceOptions opts;
   opts.sessions = 1;
   opts.plan_cache = true;
-  QueryService svc(base.ctx, opts);
+  QueryService svc(base, opts);
 
-  // 64 rows >= kTagSortMinLen, so the distinct's sort routes through the
-  // Beneš permutation and its switch plan lands in the artifact cache.
   const PlanPtr plan = core::Distinct(core::Scan(FactTable("fc", 64, 8, 1)));
 
   auto r1 = svc.Run(plan);
   ASSERT_TRUE(r1.ok());
   EXPECT_FALSE(r1->plan_cache_hit);
-  const auto after_first = base.cache.stats();
-  EXPECT_GT(after_first.misses, 0u);
-  EXPECT_EQ(after_first.hits, 0u);
-  EXPECT_NE(core::ExplainPlan(r1->executed_plan, r1->node_stats)
-                .find("cache=miss"),
-            std::string::npos);
 
   auto r2 = svc.Run(plan);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->plan_cache_hit);
   EXPECT_EQ(r2->result.table.rows(), r1->result.table.rows());
-  const auto after_second = base.cache.stats();
-  EXPECT_GT(after_second.hits, 0u);
-  EXPECT_EQ(after_second.misses, after_first.misses);  // fully warm
-  EXPECT_NE(core::ExplainPlan(r2->executed_plan, r2->node_stats)
-                .find("cache=hit"),
-            std::string::npos);
 
   EXPECT_EQ(svc.counters().plan_cache_hits, 1u);
   EXPECT_EQ(svc.counters().plan_cache_misses, 1u);
@@ -546,20 +521,6 @@ TEST(SizeFeedbackTest, CollectSizeFeedbackRecordsRevealedSizes) {
       fb.rows_by_signature.find(core::PlanShapeSignature(ex.executed_plan()));
   ASSERT_NE(it, fb.rows_by_signature.end());
   EXPECT_EQ(it->second, result.table.rows().size());
-}
-
-// ---------------------------------------------------------------------------
-// Calibration sharing: the second probe for the same worker count is a
-// memoized hit, visible in the global cache's telemetry.
-
-TEST(CalibrationCacheTest, SecondCalibrationForSameWorkerCountIsAHit) {
-  const auto before = obliv::ArtifactCache::Global().stats();
-  const auto m1 = obliv::CalibrateSortCostModelShared();
-  const auto m2 = obliv::CalibrateSortCostModelShared();
-  const auto after = obliv::ArtifactCache::Global().stats();
-  EXPECT_TRUE(m1.calibrated);
-  EXPECT_EQ(m1.parallel_efficiency, m2.parallel_efficiency);
-  EXPECT_GE(after.calibration_hits, before.calibration_hits + 1);
 }
 
 // ---------------------------------------------------------------------------

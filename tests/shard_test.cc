@@ -41,9 +41,8 @@ using core::ShardedJoinAggregate;
 using core::ShardOfKey;
 using core::ShardSet;
 
-const obliv::SortPolicy kAllPolicies[] = {
-    obliv::SortPolicy::kReference, obliv::SortPolicy::kBlocked,
-    obliv::SortPolicy::kTagSort, obliv::SortPolicy::kAuto};
+const obliv::SortPolicy kAllPolicies[] = {obliv::SortPolicy::kReference,
+                                           obliv::SortPolicy::kBlocked};
 
 // A mid-size pair with repeated keys on both sides (multi-groups exercise
 // both expansions inside every shard pipeline): 400 groups of bounded
@@ -159,7 +158,7 @@ TEST(ResolveShardCountTest, SkewOverflowFallsBack) {
 }
 
 TEST(ResolveShardCountTest, AutoStaysUnshardedBelowSizeFloor) {
-  const auto tc = MidCase(6);  // far below kAutoShardMinRows
+  const auto tc = MidCase(6);  // far below kShardMinRows
   EXPECT_EQ(ResolveShardCount(tc.t1, tc.t2, ShardedCtx(0)), 1u);
 }
 
@@ -177,6 +176,16 @@ TEST(ResolveShardCountTest, EstimateShardedJoinNsDeterministicAndShaped) {
             core::EstimateShardedJoinNs(n1, n2, 4, 1));
 }
 
+// The benchmark's join (2^19 rows a side) on a 4-worker pool stays
+// unsharded: the model prices k = 1 below both k = 2 and k = 4, so the
+// auto path's argmin is 1.
+TEST(ResolveShardCountTest, BenchmarkJoinSizeStaysUnshardedOnFourWorkers) {
+  const size_t n = size_t{1} << 19;
+  const double unsharded = core::EstimateShardedJoinNs(n, n, 1, 4);
+  EXPECT_LT(unsharded, core::EstimateShardedJoinNs(n, n, 2, 4));
+  EXPECT_LT(unsharded, core::EstimateShardedJoinNs(n, n, 4, 4));
+}
+
 // The auto path is the cost-model argmin over candidate shard counts — a
 // function of the public sizes and the worker count only, so two tables of
 // the same sizes but different contents resolve identically, and the
@@ -184,8 +193,8 @@ TEST(ResolveShardCountTest, EstimateShardedJoinNsDeterministicAndShaped) {
 TEST(ResolveShardCountTest, AutoDecisionIsCostArgminAndShapeDeterministic) {
   ThreadPool pool(8);
   auto big_pair = [](uint64_t variant) {
-    // 3 * 2^16 rows combined: above kAutoShardMinRows with room for
-    // several shards above kAutoShardMinRowsPerShard.
+    // 3 * 2^16 rows combined: above kShardMinRows with room for
+    // several shards above kShardMinRowsPerShard.
     Table t1("auto1"), t2("auto2");
     for (uint64_t i = 0; i < (uint64_t{1} << 17); ++i) {
       t1.Add(i % 50021, 1000 * variant + i);
@@ -209,7 +218,7 @@ TEST(ResolveShardCountTest, AutoDecisionIsCostArgminAndShapeDeterministic) {
   const double chosen_ns =
       core::EstimateShardedJoinNs(a1.size(), a2.size(), std::max(k, 1u), 8);
   for (uint32_t cand = 1; cand <= 8; cand *= 2) {
-    if (cand >= 2 && n_total / cand < core::kAutoShardMinRowsPerShard) break;
+    if (cand >= 2 && n_total / cand < core::kShardMinRowsPerShard) break;
     EXPECT_LE(chosen_ns,
               core::EstimateShardedJoinNs(a1.size(), a2.size(), cand, 8))
         << "candidate k=" << cand;
@@ -326,9 +335,8 @@ TEST(ShardedAggregateTest, MatchesUnshardedEveryPolicyAndElision) {
 // recombining run merge reach the fan-out cutoff.  The untraced runs split
 // the pool between the shards (width 4: two 2-worker shard pools; width 2:
 // serial shards); the traced runs drive the shards in order on the whole
-// pool.  Outputs and elided-sort counts must not depend on the width, and
-// neither may the trace of a concrete tier (kAuto resolves from the worker
-// count, so its tier may change with the width).  memtrace::DigestTraceSink
+// pool.  Outputs, elided-sort counts and traces must not depend on the
+// width.  memtrace::DigestTraceSink
 // compares the traces: HashTraceSink's per-event SHA-256 is too slow here.
 TEST(ShardedJoinTest, PoolWidthChangesNothingButSpeed) {
   std::vector<std::pair<uint64_t, uint64_t>> spec;
@@ -384,9 +392,7 @@ TEST(ShardedJoinTest, PoolWidthChangesNothingButSpeed) {
         }
         EXPECT_EQ(run.join, sequential->join) << where;
         EXPECT_EQ(run.aggregate, sequential->aggregate) << where;
-        if (policy != obliv::SortPolicy::kAuto) {
-          EXPECT_EQ(run.trace, sequential->trace) << where;
-        }
+        EXPECT_EQ(run.trace, sequential->trace) << where;
         EXPECT_EQ(run.sorts_elided, sequential->sorts_elided) << where;
       }
     }
@@ -503,8 +509,7 @@ workload::TestCase PayloadVariant(uint64_t payload_salt) {
 }
 
 TEST(ShardedTraceTest, TraceDataIndependentAcrossPayloads) {
-  for (const obliv::SortPolicy policy :
-       {obliv::SortPolicy::kBlocked, obliv::SortPolicy::kTagSort}) {
+  for (const obliv::SortPolicy policy : kAllPolicies) {
     std::string first;
     for (uint64_t salt = 0; salt < 3; ++salt) {
       const auto tc = PayloadVariant(salt);

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -166,61 +165,22 @@ TEST(SortKernelTest, SubrangeSortLeavesRestUntouched) {
 }
 
 TEST(SortKernelTest, PolicyDispatcherRunsEveryPolicy) {
-  // ItemLexLess carries no SortKey projection, so the tag tier falls back
-  // to the blocked kernel here (the real tag paths are covered by
-  // tests/tag_sort_test.cc); every policy must sort and count identically.
-  // `chosen` reports the tier that actually executed.
-  const std::pair<SortPolicy, SortPolicy> policy_and_executed[] = {
-      {SortPolicy::kReference, SortPolicy::kReference},
-      {SortPolicy::kBlocked, SortPolicy::kBlocked},
-      {SortPolicy::kTagSort, SortPolicy::kBlocked},
-  };
-  for (const auto& [policy, executed] : policy_and_executed) {
+  // Both policies must sort and count identically.
+  for (const SortPolicy policy :
+       {SortPolicy::kReference, SortPolicy::kBlocked}) {
     memtrace::OArray<Item> arr(333, "disp");
     FillRandom(arr, 42);
     uint64_t comparisons = 0;
-    SortPolicy chosen = SortPolicy::kAuto;
-    Sort(arr, ItemLexLess{}, policy, &comparisons, nullptr, &chosen);
+    Sort(arr, ItemLexLess{}, policy, &comparisons);
     const auto contents = Contents(arr);
     EXPECT_TRUE(std::is_sorted(contents.begin(), contents.end()));
     EXPECT_EQ(comparisons, BitonicComparisonCount(333));
-    EXPECT_EQ(chosen, executed);
   }
-  {
-    memtrace::OArray<Item> arr(333, "disp");
-    FillRandom(arr, 42);
-    uint64_t comparisons = 0;
-    SortPolicy chosen = SortPolicy::kAuto;
-    Sort(arr, ItemLexLess{}, SortPolicy::kAuto, &comparisons, nullptr,
-         &chosen);
-    const auto contents = Contents(arr);
-    EXPECT_TRUE(std::is_sorted(contents.begin(), contents.end()));
-    EXPECT_EQ(comparisons, BitonicComparisonCount(333));
-    EXPECT_NE(chosen, SortPolicy::kAuto);  // always resolved
-  }
-}
-
-// The retired pool-parallel tier names keep their meaning for an existing
-// OBLIVDB_SORT_POLICY: the pool width now decides the fan-out, so
-// "parallel" is the blocked tier and "parallel_tag" the tag tier.
-TEST(SortKernelTest, RetiredParallelNamesMapToTheirSequentialTiers) {
-  EXPECT_EQ(SortPolicyFromName("parallel", SortPolicy::kReference),
-            SortPolicy::kBlocked);
-  EXPECT_EQ(SortPolicyFromName("parallel_tag", SortPolicy::kReference),
-            SortPolicy::kTagSort);
-  for (const SortPolicy policy : {SortPolicy::kReference, SortPolicy::kBlocked,
-                                  SortPolicy::kTagSort, SortPolicy::kAuto}) {
-    EXPECT_EQ(SortPolicyFromName(SortPolicyName(policy), SortPolicy::kAuto),
-              policy);
-  }
-  EXPECT_EQ(SortPolicyFromName("bogus", SortPolicy::kTagSort),
-            SortPolicy::kTagSort);
 }
 
 // Fan-out is a property of the pool: kBlocked above the task cutoff runs
 // the task-parallel network on a wide pool and the blocked kernel on a
-// width-1 pool, with the same order, comparison count and trace — and the
-// same reported tier.
+// width-1 pool, with the same order, comparison count and trace.
 TEST(SortKernelTest, BlockedTraceIdenticalAcrossPoolWidths) {
   const size_t n = 5000;  // above internal::kParallelCutoff
   ASSERT_GE(n, internal::kParallelCutoff);
@@ -233,11 +193,9 @@ TEST(SortKernelTest, BlockedTraceIdenticalAcrossPoolWidths) {
       memtrace::OArray<Item> arr(n, "width");
       FillRandom(arr, 31);
       uint64_t comparisons = 0;
-      SortPolicy chosen = SortPolicy::kAuto;
       SortRange(arr, 0, n, ItemLexLess{}, SortPolicy::kBlocked, &comparisons,
-                &pool, &chosen);
+                &pool);
       EXPECT_EQ(comparisons, BitonicComparisonCount(n));
-      EXPECT_EQ(chosen, SortPolicy::kBlocked);
       memtrace::TracePause untraced;
       contents = Contents(arr);
     }
@@ -299,53 +257,16 @@ TEST(SortKernelTest, LongTracedSortStreamsInsteadOfBuffering) {
   }
 }
 
-TEST(SortKernelTest, AutoResolutionFollowsTheMeasuredCrossovers) {
-  constexpr size_t kEntryBytes = 72;  // the pipeline element
-  constexpr size_t kEntryTagBytes = 24;
-  // Narrow elements: the tag array is as wide as the data; never the tag
-  // tier, at any pool width.
-  EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, 16, 24, 1 << 20, 1),
-            SortPolicy::kBlocked);
-  EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, 16, 24, 1 << 20, 8),
-            SortPolicy::kBlocked);
-  // Wide elements beyond the measured ~2^13-2^14 crossover: the tag tier,
-  // sequential or fanned out.
-  EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
-                              1 << 18, 1),
-            SortPolicy::kTagSort);
-  EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
-                              1 << 18, 8),
-            SortPolicy::kTagSort);
-  // The pool's speedup is credited only where the sort fans out.
-  EXPECT_LT(EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 0, 1 << 20, 4),
-            EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 0, 1 << 20, 1));
-  EXPECT_EQ(EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 0, 1 << 10, 4),
-            EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 0, 1 << 10, 1));
-  // Small ranges never leave the blocked kernel (fixed costs dominate).
-  EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, kEntryTagBytes,
-                              256, 8),
-            SortPolicy::kBlocked);
-  // No faithful projection (tag_bytes == 0): tag tiers ineligible.
-  EXPECT_EQ(ResolveSortPolicy(SortPolicy::kAuto, kEntryBytes, 0, 1 << 18, 1),
-            SortPolicy::kBlocked);
-  // Concrete policies pass through untouched.
-  EXPECT_EQ(ResolveSortPolicy(SortPolicy::kReference, kEntryBytes,
-                              kEntryTagBytes, 1 << 18, 8),
-            SortPolicy::kReference);
-}
-
-TEST(SortKernelTest, AutoTraceIsDataIndependent) {
-  // The kAuto resolution consumes only public quantities, so two inputs of
-  // the same shape produce the same trace — whatever tier it picked.
-  auto hash_of = [](uint64_t seed) {
-    memtrace::HashTraceSink sink;
-    memtrace::TraceScope scope(&sink);
-    memtrace::OArray<Item> arr(500, "auto");
-    FillRandom(arr, seed);
-    Sort(arr, ItemLexLess{}, SortPolicy::kAuto);
-    return sink.HexDigest();
-  };
-  EXPECT_EQ(hash_of(7), hash_of(7777));
+// The cost model credits the pool's speedup only where the sort fans out
+// (a multi-worker pool and n >= internal::kParallelCutoff).
+TEST(SortKernelTest, EstimateCreditsThePoolOnlyWhereTheSortFansOut) {
+  EXPECT_LT(EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 1 << 20, 4),
+            EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 1 << 20, 1));
+  EXPECT_EQ(EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 1 << 10, 4),
+            EstimateSortNsPerElement(SortPolicy::kBlocked, 16, 1 << 10, 1));
+  // The reference network never fans out.
+  EXPECT_EQ(EstimateSortNsPerElement(SortPolicy::kReference, 72, 1 << 20, 4),
+            EstimateSortNsPerElement(SortPolicy::kReference, 72, 1 << 20, 1));
 }
 
 TEST(SortKernelTest, JoinProducesSameRowsAndTraceUnderBothPolicies) {
@@ -404,68 +325,6 @@ TEST(SortKernelPerfTest, BlockedAtLeastTwiceAsFastAtTwoToTheTwenty) {
   EXPECT_GE(reference_seconds / blocked_seconds, 2.0)
       << "reference " << reference_seconds << " s vs blocked "
       << blocked_seconds << " s";
-}
-
-// ---------------------------------------------------------------------------
-// Cost-model calibration (CalibrateSortCostModel).
-
-// Without OBLIVDB_CALIBRATE the process-wide model is the fitted defaults.
-TEST(SortCostModelTest, DefaultModelUnlessCalibrationRequested) {
-  if (std::getenv("OBLIVDB_CALIBRATE") != nullptr) {
-    GTEST_SKIP() << "calibration requested in this environment";
-  }
-  const internal::SortCostModel& model = internal::CostModel();
-  EXPECT_FALSE(model.calibrated);
-  const internal::SortCostModel defaults;
-  EXPECT_EQ(model.parallel_efficiency, defaults.parallel_efficiency);
-  EXPECT_EQ(model.wide_speedup_cap, defaults.wide_speedup_cap);
-  EXPECT_EQ(model.plan_speedup_cap, defaults.plan_speedup_cap);
-}
-
-// The calibration can be reached lazily from *inside* a traced query run
-// (first kAuto resolution under OBLIVDB_CALIBRATE=1), so its probes must
-// be completely invisible to the ambient trace session: no events, no
-// allocations, and no array-id drift for arrays registered afterwards
-// (TracePause in memtrace/trace.h).  The returned constants must sit in
-// their physical ranges — efficiency a fraction of linear scaling, caps
-// between "no speedup" and the worker count.
-TEST(SortCostModelTest, CalibrationInvisibleToAmbientTraceSession) {
-  ThreadPool pool(4);
-  memtrace::VectorTraceSink sink;
-  internal::SortCostModel model;
-  uint32_t id_before = 0;
-  uint32_t id_after = 0;
-  {
-    memtrace::TraceScope scope(&sink);
-    id_before = memtrace::OArray<uint64_t>(1, "before").array_id();
-    model = CalibrateSortCostModel(&pool);
-    id_after = memtrace::OArray<uint64_t>(1, "after").array_id();
-  }
-  // Only the two marker allocations; the probes emitted nothing and the
-  // session's id sequence continued as if they never ran.
-  EXPECT_EQ(sink.allocations().size(), 2u);
-  EXPECT_EQ(sink.events().size(), 0u);
-  EXPECT_EQ(id_after, id_before + 1);
-
-  EXPECT_TRUE(model.calibrated);
-  EXPECT_GE(model.parallel_efficiency, 0.05);
-  EXPECT_LE(model.parallel_efficiency, 1.0);
-  EXPECT_GE(model.wide_speedup_cap, 1.0);
-  EXPECT_LE(model.wide_speedup_cap, 4.0);
-  EXPECT_GE(model.plan_speedup_cap, 1.0);
-  EXPECT_LE(model.plan_speedup_cap, 4.0);
-}
-
-// A single-worker pool has no parallel scaling to measure: the fitted
-// defaults come back, marked calibrated.
-TEST(SortCostModelTest, SingleWorkerKeepsDefaults) {
-  ThreadPool pool(1);
-  const internal::SortCostModel model = CalibrateSortCostModel(&pool);
-  EXPECT_TRUE(model.calibrated);
-  const internal::SortCostModel defaults;
-  EXPECT_EQ(model.parallel_efficiency, defaults.parallel_efficiency);
-  EXPECT_EQ(model.wide_speedup_cap, defaults.wide_speedup_cap);
-  EXPECT_EQ(model.plan_speedup_cap, defaults.plan_speedup_cap);
 }
 
 }  // namespace

@@ -17,9 +17,7 @@
 //                           join on a 4-worker pool, so each sort runs
 //                           the sequential blocked kernel (degradations
 //                           recorded; output and trace hash must match
-//                           the clean run),
-//       epc_degrade         epc_evict:once halving a forced 4-shard join
-//                           to 2 shards;
+//                           the clean run);
 //   * cancellation (smoke) — a pre-cancelled token must surface
 //     kCancelled, and the Try path's output must be byte-identical to the
 //     legacy path's.
@@ -33,6 +31,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -43,7 +42,6 @@
 #include "common/timer.h"
 #include "core/exec_context.h"
 #include "core/join.h"
-#include "core/shard.h"
 #include "memtrace/encrypted_oarray.h"
 #include "memtrace/sinks.h"
 #include "workload/generators.h"
@@ -163,26 +161,6 @@ RecoveryRow BenchPoolSpawnDegrade(size_t n, int reps) {
               delta.degradations > 0};
 }
 
-// epc_degrade: the first EPC reservation refused, halving a forced
-// 4-shard join to 2 shards.
-RecoveryRow BenchEpcDegrade(size_t n, int reps) {
-  const workload::TestCase tc = workload::OneToOne(n, 3);
-  core::ExecContext ctx;
-  ctx.shards = 4;
-
-  std::vector<JoinedRecord> clean_rows, faulty_rows;
-  const double clean =
-      BestOf(reps, [&] { clean_rows = core::ShardedJoin(tc.t1, tc.t2, ctx); });
-
-  ScopedFaultInjection scoped("epc_evict:once");
-  const FaultCounters start = FaultInjector::Global().Snapshot();
-  const double faulty =
-      BestOf(reps, [&] { faulty_rows = core::ShardedJoin(tc.t1, tc.t2, ctx); });
-  const FaultCounters end = FaultInjector::Global().Snapshot();
-  return {"epc_degrade", clean, faulty, Delta(start, end),
-          clean_rows == faulty_rows};
-}
-
 void PrintRecoveryRow(const RecoveryRow& row, bool last) {
   const double pct = row.clean_seconds > 0
                          ? 100.0 * (row.faulty_seconds - row.clean_seconds) /
@@ -256,7 +234,6 @@ int main(int argc, char** argv) {
       BenchMacRetry(smoke ? 256 : (size_t{1} << 15), reps),
       BenchPoolSpawnDegrade(smoke ? (size_t{1} << 13) : (size_t{1} << 16),
                             reps),
-      BenchEpcDegrade(smoke ? 256 : (size_t{1} << 13), reps),
   };
   for (const RecoveryRow& row : rows) {
     if (!row.ok) {
@@ -281,8 +258,9 @@ int main(int argc, char** argv) {
               "\"overhead_pct\": %.2f, \"checkpoints\": %" PRIu64 "},\n",
               total, legacy_s, try_s, overhead_pct, sink.count());
   std::printf("  \"recovery\": [\n");
-  for (size_t i = 0; i < 3; ++i) {
-    PrintRecoveryRow(rows[i], i == 2);
+  const size_t num_rows = std::size(rows);
+  for (size_t i = 0; i < num_rows; ++i) {
+    PrintRecoveryRow(rows[i], i + 1 == num_rows);
   }
   std::printf("  ]\n}\n");
 

@@ -3,13 +3,14 @@
 // transformed SGX version, and the insecure sort-merge join; inputs with
 // m ~= n1 = n2 = n/2).
 //
-// Substitution (see DESIGN.md): real-SGX runs are replaced by the EPC
-// paging model of sgx_sim — measured CPU time plus a per-fault penalty,
-// with the level-III transformation's constant factor on top.  To keep the
-// default run laptop-fast while still showing the paging knee, the sweep
-// and the modelled EPC are scaled down together: the paper's n = 10^6 run
-// has a ~360 MB footprint against a 93 MiB EPC (ratio ~3.9), which the
-// default sweep to 2^18 (~63 MB footprint) matches at --epc-mib=16.  Pass --paper for the paper's exact sweep
+// Substitution (see sgx_sim/epc_simulator.h): real-SGX runs are replaced
+// by the EPC paging model of sgx_sim — measured CPU time plus a per-fault
+// penalty, with the level-III transformation's constant factor on top.
+// To keep the default run laptop-fast while still showing the paging
+// knee, the sweep and the modelled EPC are scaled down together: the
+// paper's n = 10^6 run has a ~360 MB footprint against a 93 MiB EPC
+// (ratio ~3.9), which the default sweep to 2^18 (~63 MB footprint)
+// matches at --epc-mib=16.  Pass --paper for the paper's exact sweep
 // (0.1e6..1e6, 93 MiB EPC); expect minutes on one core.
 //
 // Usage: bench_figure8_runtime [--paper] [--epc-mib=16]

@@ -2,8 +2,9 @@
 // reference network and the cache-blocked kernel — at the element widths
 // that matter: the 16-byte (key, tag) microbenchmark shape and the
 // pipeline's 72-byte Entry.  The blocked kernel runs sequentially
-// ("blocked") and on the task-parallel network with 1 and 8 task slots
-// ("blocked_tasks1", "blocked_tasks8").
+// ("blocked") and on the task-parallel network with 8 task slots
+// ("blocked_tasks8"); with one slot that network is the sequential
+// kernel, so it gets no row of its own.
 //
 //   build/bench_sort_kernel            # JSON to stdout
 //   build/bench_sort_kernel --smoke    # small-n sanity run (CI smoke target)
@@ -89,12 +90,11 @@ void BenchWidth(size_t n, const Less& less, const MakeFn& make) {
     obliv::BitonicSortBlocked(arr, less);
     Emit("blocked", 1, sizeof(T), n, timer.ElapsedSeconds());
   }
-  for (const unsigned threads : {1u, 8u}) {
+  {
     auto arr = make(n);
     timer.Start();
-    obliv::BitonicSortParallel(arr, less, threads);
-    Emit(threads == 1 ? "blocked_tasks1" : "blocked_tasks8", threads,
-         sizeof(T), n, timer.ElapsedSeconds());
+    obliv::BitonicSortParallel(arr, less, 8);
+    Emit("blocked_tasks8", 8, sizeof(T), n, timer.ElapsedSeconds());
   }
 }
 

@@ -1,30 +1,28 @@
 #!/usr/bin/env bash
 # CI smoke pass: configure a warning-strict build (-Wall -Wextra -Werror —
 # any new warning fails the build), compile everything, and run the unit
-# suite seven times:
+# suite six times:
 #
 #   1. stock defaults (kBlocked);
 #   2. order-aware sort elision pinned off (OBLIVDB_SORT_ELISION=off), so
 #      both sides of the elision flag stay green;
-#   3. sharded execution forced (OBLIVDB_SHARDS=4), so every suite also
-#      passes through the k-way partitioned pipelines;
-#   4. the plan optimizer pinned off (OBLIVDB_OPTIMIZE=off), so the
+#   3. the plan optimizer pinned off (OBLIVDB_OPTIMIZE=off), so the
 #      unrewritten plans stay byte-for-byte healthy on their own;
-#   5. an ASan+UBSan rebuild (-DOBLIVDB_SANITIZE=address,undefined) with
+#   4. an ASan+UBSan rebuild (-DOBLIVDB_SANITIZE=address,undefined) with
 #      fault injection live (OBLIVDB_FAULT_SPEC), so the recovery unwind
 #      paths are exercised leak- and UB-checked;
-#   6. a TSan rebuild (-DOBLIVDB_SANITIZE=thread) with the query service at
+#   5. a TSan rebuild (-DOBLIVDB_SANITIZE=thread) with the query service at
 #      4 concurrent sessions (OBLIVDB_SERVICE_SESSIONS=4), so the service's
 #      shared state — the admission queue, the plan cache, the
 #      exclusive-trace lock — is exercised race-checked;
-#   7. chaos: the resilience fault set live (worker crashes + the transient
+#   6. chaos: the resilience fault set live (worker crashes + the transient
 #      environmental faults) at 4 sessions, plus the chaos harness, so
 #      crash containment, transparent retry and the circuit breaker absorb
 #      a real fault stream while every byte-identity assertion stays green.
 #
-# Between passes 4 and 5 it runs the repo benchmark's smoke mode, the
-# small-n sort / join-pipeline / shard / faults / optimizer /
-# service benches and the query-plan demo (plan-vs-direct cross-check).
+# Between passes 3 and 4 it runs the repo benchmark's smoke mode, the
+# small-n sort / join-pipeline / faults / optimizer / service benches and
+# the query-plan demo (plan-vs-direct cross-check).
 #
 #   bench/smoke.sh [build-dir]      # default: build-smoke
 
@@ -42,12 +40,7 @@ ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 # default-on runs above already cover elision engaged).
 OBLIVDB_SORT_ELISION=off \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Third pass with sharded execution forced on every plan join/aggregate
-# (core/shard.h): every suite must stay byte-for-byte green when the
-# operators run as k concurrent per-shard pipelines.
-OBLIVDB_SHARDS=4 OBLIVDB_THREADS=4 \
-  ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-# Fourth pass with the plan optimizer pinned off: every suite must stay
+# Third pass with the plan optimizer pinned off: every suite must stay
 # green when plans execute exactly as written (the default-on runs above
 # already cover the rewrite pass engaged).
 OBLIVDB_OPTIMIZE=off \
@@ -65,9 +58,6 @@ python3 "$repo_root/oblivbench/run.py" --smoke
 # End-to-end chained-plan check: elision on vs. off must agree byte for
 # byte and the expected sorts must actually elide (exits nonzero if not).
 "$build_dir/bench_join_pipeline" --smoke >/dev/null
-# Sharded-vs-unsharded byte-equality cross-check through the real sharded
-# path (exits nonzero on a mismatch or a silent fallback).
-"$build_dir/bench_shard" --smoke >/dev/null
 # Fault-resilience cross-check: clean-vs-faulty byte equality on every
 # graceful-degradation path plus the cancellation contract.
 "$build_dir/bench_faults" --smoke >/dev/null
@@ -78,10 +68,10 @@ python3 "$repo_root/oblivbench/run.py" --smoke
 # cache/session-count variant, and the cache-on rows must hit.
 "$build_dir/bench_service" --smoke >/dev/null
 cmake --build "$build_dir" --target plan_smoke
-# Fifth pass: rebuild under ASan+UBSan and run the whole suite with a
+# Fourth pass: rebuild under ASan+UBSan and run the whole suite with a
 # low-rate transient-MAC fault stream live, so the retry and unwind
 # machinery runs sanitized.  robustness_test then re-runs alone under a
-# hotter multi-site spec (every-3rd EPC refusal, every-2nd spawn refusal).
+# hotter multi-site spec (5% MAC faults, every-2nd spawn refusal).
 # `alloc` never goes in an env spec: an OArray constructor firing outside
 # a recovery scope is a correct abort, not a test signal.
 san_dir="$build_dir-asan"
@@ -91,11 +81,11 @@ cmake --build "$san_dir" -j "$(nproc)"
 OBLIVDB_FAULT_SPEC="decrypt_mac:0.01" \
   ctest --test-dir "$san_dir" --output-on-failure -j "$(nproc)"
 if [ -x "$san_dir/robustness_test" ]; then
-  OBLIVDB_FAULT_SPEC="decrypt_mac:0.05;epc_evict:3;pool_spawn:2" \
+  OBLIVDB_FAULT_SPEC="decrypt_mac:0.05;pool_spawn:2" \
     "$san_dir/robustness_test" --gtest_brief=1
 fi
 OBLIVDB_FAULT_SPEC="decrypt_mac:0.01" "$san_dir/bench_faults" --smoke >/dev/null
-# Sixth pass: rebuild under TSan and run the suite with the query
+# Fifth pass: rebuild under TSan and run the suite with the query
 # service at 4 concurrent sessions, so session workers, the admission
 # queue, the plan cache and the shared-exclusive trace lock all
 # run race-checked.  sort_kernel_test is excluded: its perf-bar assertion
@@ -110,21 +100,20 @@ OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   -E '^sort_kernel_test$'
 OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   "$tsan_dir/bench_service" --smoke >/dev/null
-# Seventh pass: chaos.  The whole suite runs with worker crashes and the
+# Sixth pass: chaos.  The whole suite runs with worker crashes and the
 # transient environmental faults live at 4 concurrent sessions — crash
 # containment requeues/respawns, transparent retry rescues transients, and
 # every byte-identity assertion must still hold.  (`alloc` stays out of
 # env specs: an OArray constructor firing outside a recovery scope is a
-# correct abort, not a test signal; `epc_evict` stays out too — its
-# shard-halving degradation moves the exact shard counts shard_test pins.)
-# bench_chaos then replays its seeded fault schedules — worker crashes,
-# EPC evictions, spawn refusals and alloc transients included — and
+# correct abort, not a test signal.)  bench_chaos then replays its own
+# seeded fault schedules — worker crashes, spawn refusals and alloc
+# transients included — and
 # asserts loss-free fault-free goodput, byte-identical OK responses, and
 # trace-identical exclusive probes.
 OBLIVDB_FAULT_SPEC="worker_crash:0.02;pool_spawn:0.02" \
 OBLIVDB_SERVICE_SESSIONS=4 OBLIVDB_THREADS=4 \
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-OBLIVDB_FAULT_SPEC="worker_crash:0.05;epc_evict:0.02;pool_spawn:0.02" \
+OBLIVDB_FAULT_SPEC="worker_crash:0.05;pool_spawn:0.02" \
 OBLIVDB_SERVICE_SESSIONS=4 \
   "$build_dir/bench_chaos" --smoke >/dev/null
 echo "smoke OK"

@@ -27,7 +27,7 @@ struct OramJoinResult {
 
 // `expected_m` sizes the output ORAM and the fixed-length merge loop; pass
 // SortMergeJoinSize(t1, t2) (a real deployment would obtain it from the
-// paper's Augment-Tables pass, which is how we document it in DESIGN.md).
+// paper's Augment-Tables pass, which computes m obliviously).
 OramJoinResult OramSortMergeJoin(const Table& table1, const Table& table2,
                                  uint64_t expected_m, uint64_t seed = 7);
 

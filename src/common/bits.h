@@ -30,8 +30,8 @@ inline bool IsPow2(uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
 // Deterministic per-stream seed derivation: the splitmix64 finalizer over
 // seed ^ golden-ratio-spread stream.  Distinct streams give independent-
 // looking values from one root seed.  This is the one mixing function the
-// whole library shares — ExecContext::DeriveSeed (per-shard seeds, PRP
-// keys) and the fault injector's per-arrival decisions (common/fault.h)
+// whole library shares — ExecContext::DeriveSeed (retry and session seeds)
+// and the fault injector's per-arrival decisions (common/fault.h)
 // both delegate here, so "seeded from ExecContext::DeriveSeed" is literal.
 inline uint64_t MixSeed(uint64_t seed, uint64_t stream) {
   uint64_t z = seed ^ (stream * 0x9e3779b97f4a7c15ULL);

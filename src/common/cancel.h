@@ -12,8 +12,7 @@
 //   "sort_pass"      — each cross-block merge pass of the blocked kernel,
 //                      and each merge of at least internal::kParallelCutoff
 //                      elements that an untraced fan-out runs on the
-//                      calling thread (obliv/parallel_sort.h);
-//   "shard_pipeline" — each per-shard pipeline start.
+//                      calling thread (obliv/parallel_sort.h).
 //
 // Between checkpoints the pipeline is non-interruptible, so a cancelled run
 // performs a byte-identical access-trace *prefix* of the uncancelled run,

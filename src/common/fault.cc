@@ -61,8 +61,6 @@ const char* FaultSiteName(FaultSite site) {
   switch (site) {
     case FaultSite::kDecryptMac:
       return "decrypt_mac";
-    case FaultSite::kEpcEvict:
-      return "epc_evict";
     case FaultSite::kPoolSpawn:
       return "pool_spawn";
     case FaultSite::kAlloc:
@@ -71,6 +69,20 @@ const char* FaultSiteName(FaultSite site) {
       return "worker_crash";
   }
   return "unknown";
+}
+
+uint64_t FaultSiteStream(FaultSite site) {
+  switch (site) {
+    case FaultSite::kDecryptMac:
+      return 1;
+    case FaultSite::kPoolSpawn:
+      return 3;
+    case FaultSite::kAlloc:
+      return 4;
+    case FaultSite::kWorkerCrash:
+      return 5;
+  }
+  return 0;
 }
 
 StatusOr<FaultSpec> FaultSpec::Parse(std::string_view text) {
@@ -154,9 +166,10 @@ bool FaultInjector::ShouldFire(FaultSite site) {
       fire = arrival % mode.n == 0;
       break;
     case FaultMode::Kind::kProbability: {
-      // 53-bit uniform in [0,1) from the shared per-stream mixer; site
-      // stream s+1 keeps site 0 distinct from the root seed itself.
-      const uint64_t h = MixSeed(MixSeed(seed_, s + 1), arrival);
+      // 53-bit uniform in [0,1) from the shared per-stream mixer; streams
+      // start at 1, keeping every site distinct from the root seed itself.
+      const uint64_t h =
+          MixSeed(MixSeed(seed_, FaultSiteStream(site)), arrival);
       fire = static_cast<double>(h >> 11) * 0x1.0p-53 < mode.probability;
       break;
     }

@@ -5,8 +5,6 @@
 //
 //   decrypt_mac — EncryptedOArray authenticated read fails (transient bus /
 //                 torn-write corruption; a real forgery also lands here);
-//   epc_evict   — sgx_sim::TryReserveEpc refuses an enclave-heap
-//                 reservation (EPC exhaustion under concurrent load);
 //   pool_spawn  — ThreadPool::TrySpawnProbe refuses a parallel fan-out
 //                 (thread / task-slot exhaustion);
 //   alloc       — OArray construction fails (public-memory exhaustion);
@@ -18,16 +16,17 @@
 // Configuration comes from the OBLIVDB_FAULT_SPEC environment variable (or
 // Configure() in tests), e.g.
 //
-//     OBLIVDB_FAULT_SPEC="decrypt_mac:0.01;epc_evict:5;pool_spawn:once"
+//     OBLIVDB_FAULT_SPEC="decrypt_mac:0.01;worker_crash:5;pool_spawn:once"
 //
 // where each site takes one mode: a probability in (0,1) (fire that
 // fraction of arrivals), an integer N >= 1 (fire every Nth arrival),
 // "once" (fire the first arrival only), or "off".
 //
 // Determinism is the point: whether arrival k at a site fires is the pure
-// function MixSeed(MixSeed(seed, site), k) — the same per-stream derivation
-// as ExecContext::DeriveSeed (common/bits.h) — of the injector seed and the
-// site's arrival counter.  Same spec + same seed + same workload ⇒ the
+// function MixSeed(MixSeed(seed, stream), k) — the same per-stream
+// derivation as ExecContext::DeriveSeed (common/bits.h) — of the injector
+// seed, the site's fixed stream (FaultSiteStream) and the site's arrival
+// counter.  Same spec + same seed + same workload ⇒ the
 // identical fault sequence and the identical Status, run after run
 // (tests/robustness_test.cc pins this).  Decisions never read data, so
 // injection preserves trace data-independence.
@@ -47,17 +46,22 @@ namespace oblivdb {
 
 enum class FaultSite : uint8_t {
   kDecryptMac = 0,
-  kEpcEvict = 1,
-  kPoolSpawn = 2,
-  kAlloc = 3,
-  kWorkerCrash = 4,
+  kPoolSpawn = 1,
+  kAlloc = 2,
+  kWorkerCrash = 3,
 };
 
-inline constexpr size_t kNumFaultSites = 5;
+inline constexpr size_t kNumFaultSites = 4;
 
-// The spec-syntax token for a site ("decrypt_mac", "epc_evict",
-// "pool_spawn", "alloc", "worker_crash").
+// The spec-syntax token for a site ("decrypt_mac", "pool_spawn", "alloc",
+// "worker_crash").
 const char* FaultSiteName(FaultSite site);
+
+// The mixer stream a site's probabilistic decisions draw from.  Fixed per
+// site rather than derived from the enum value: stream 2 belonged to a
+// retired site (EPC reservations), and skipping it keeps every remaining
+// site's fired sequence unchanged.
+uint64_t FaultSiteStream(FaultSite site);
 
 struct FaultMode {
   enum class Kind : uint8_t { kOff, kProbability, kEveryNth, kOnce };

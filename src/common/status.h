@@ -6,10 +6,10 @@
 //     of range, mismatched schemas).  These stay OBLIVDB_CHECK → abort
 //     (common/check.h); no Status is ever minted for them.
 //   * environmental faults — conditions correct code can hit at runtime: a
-//     corrupted EncryptedOArray cell, an exhausted EPC budget, a failed
-//     task spawn, a cancelled token, a missed deadline.  These are
-//     expressed as Status / StatusOr<T> through the fallible entry points
-//     (TryObliviousJoin, Executor::TryRun, TryShardedJoin, ...).
+//     corrupted EncryptedOArray cell, a refused allocation, a failed task
+//     spawn, a cancelled token, a missed deadline.  These are expressed as
+//     Status / StatusOr<T> through the fallible entry points
+//     (TryObliviousJoin, Executor::TryRun, QueryInterpreter::TryRun, ...).
 //
 // Deep pipeline code signals an environmental fault with RaiseOrAbort().
 // Under a fallible entry point — a RecoveryScope is active on the calling
@@ -65,7 +65,7 @@ class Status {
   std::string ToString() const;
 
   // Call-site context chaining: returns this Status with `op_name` prefixed
-  // onto the message ("join: shard[2]: MAC verification failed ..."), so a
+  // onto the message ("distinct: join: MAC verification failed ..."), so a
   // fault that unwinds through several boundaries names the path that
   // raised it.  The code is preserved; annotating an ok Status is a no-op
   // (there is nothing to locate).
@@ -134,9 +134,8 @@ inline thread_local int recovery_depth = 0;
 
 // Marks the calling thread as being inside a fallible entry point: while
 // one is active, RaiseOrAbort throws instead of aborting.  Installed by the
-// Try* APIs (and re-installed on shard worker threads so per-shard faults
-// propagate to the driver); strictly thread-local, so a scope on the driver
-// never changes behaviour on pool workers.
+// Try* APIs; strictly thread-local, so a scope on the calling thread never
+// changes behaviour on pool workers.
 class RecoveryScope {
  public:
   RecoveryScope() { ++internal::recovery_depth; }

@@ -83,9 +83,9 @@ class ThreadPool {
   // Process-wide pool, created on first use and reused across all parallel
   // sorts.  Worker count: the OBLIVDB_THREADS environment variable when set
   // to a positive integer (the deterministic pin for benches and CI — every
-  // sort fans out to the pool's width and the shard crossover keys off
-  // the worker count, so reproducible runs need a reproducible pool;
-  // OBLIVDB_THREADS=1 runs every sort sequentially), otherwise
+  // sort fans out to the pool's width, so reproducible runs need a
+  // reproducible pool; OBLIVDB_THREADS=1 runs every sort sequentially),
+  // otherwise
   // hardware_concurrency().
   static ThreadPool& Global();
 

@@ -62,23 +62,6 @@ struct ByJoinKeyThenTidThenDataLess {
   }
 };
 
-// Shard partition pre-sort (core/shard.cc): (shard ^, j ^, d ^), with the
-// shard id staged in align_ii (free before the join pipeline runs).  Groups
-// each shard's rows contiguously and leaves every shard internally
-// (j, d)-sorted, so the per-shard pipelines inherit a ByKeyData order hint
-// for free.
-struct ByShardThenKeyThenDataLess {
-  uint64_t operator()(const Entry& a, const Entry& b) const {
-    const uint64_t eq_s = ct::EqMask(a.align_ii, b.align_ii);
-    const uint64_t eq_j = ct::EqMask(a.join_key, b.join_key);
-    const uint64_t eq_d0 = ct::EqMask(a.payload0, b.payload0);
-    return ct::LessMask(a.align_ii, b.align_ii) |
-           (eq_s & ct::LessMask(a.join_key, b.join_key)) |
-           (eq_s & eq_j & ct::LessMask(a.payload0, b.payload0)) |
-           (eq_s & eq_j & eq_d0 & ct::LessMask(a.payload1, b.payload1));
-  }
-};
-
 }  // namespace oblivdb::core
 
 #endif  // OBLIVDB_CORE_COMPARATORS_H_

@@ -7,27 +7,10 @@
 
 namespace oblivdb::core {
 
-uint32_t ExecContext::DefaultShards() {
-  static const uint32_t shards = [] {
-    const char* env = std::getenv("OBLIVDB_SHARDS");
-    if (env == nullptr) return 0u;  // auto
-    const std::string_view v(env);
-    if (v == "auto" || v == "0") return 0u;
-    uint32_t parsed = 0;
-    for (char c : v) {
-      if (c < '0' || c > '9') return 0u;  // unrecognized: fall back to auto
-      parsed = parsed * 10 + static_cast<uint32_t>(c - '0');
-      if (parsed > kMaxShards) return kMaxShards;
-    }
-    return parsed == 0 ? 0u : parsed;
-  }();
-  return shards;
-}
-
 uint64_t ExecContext::DeriveSeed(uint64_t seed, uint64_t stream) {
   // The library-wide per-stream mixer (common/bits.h) — shared with the
-  // fault injector so injected fault sequences and shard seeds derive from
-  // the same deterministic root.
+  // fault injector so injected fault sequences and retry/session seeds
+  // derive from the same deterministic root.
   return MixSeed(seed, stream);
 }
 

@@ -111,18 +111,11 @@ struct ExecContext {
   // cached, like the other env defaults.
   static double DefaultDeadlineSeconds();
 
-  // The process-wide default for `shards`: OBLIVDB_SHARDS set to a positive
-  // integer forces that shard count on every Join/Aggregate (clamped to
-  // kMaxShards; 1 = sharding off); unset, "0" or "auto" leaves the
-  // cost-model crossover (core/shard.h) to pick per operator.  Read once
-  // and cached; CI uses it to run the whole suite force-sharded
-  // (bench/smoke.sh).
-  static uint32_t DefaultShards();
-
-  // Upper bound on the shard count, forced or auto (a public constant; the
-  // partition pads each shard, so far more shards than workers only adds
-  // padding).
-  static constexpr uint32_t kMaxShards = 64;
+  // Stand-in kept for oblivbench's env header, which still records a shard
+  // count: execution is never sharded, so it is always 1.  It goes with
+  // the benchmark change that retires the shard.* metrics (ROADMAP item 6),
+  // like the ArtifactCache stand-in (obliv/artifact_cache.h).
+  static constexpr uint32_t DefaultShards() { return 1; }
 
   obliv::SortPolicy sort_policy = DefaultSortPolicy();
 
@@ -142,7 +135,7 @@ struct ExecContext {
   // Every rewrite decision is a pure function of (plan shape, public
   // sizes, public flags) — never of row contents — and every rewritten
   // plan's root Table output is byte-identical to the original's
-  // (tests/optimizer_test.cc pins both across all policy/elision/shard
+  // (tests/optimizer_test.cc pins both across all policy/elision
   // settings).
   bool optimize = DefaultOptimize();
 
@@ -168,8 +161,8 @@ struct ExecContext {
   memtrace::TraceSink* trace_sink = nullptr;
 
   // Cooperative cancellation (common/cancel.h).  Non-owning; honoured only
-  // by the fallible entry points (TryObliviousJoin, Executor::TryRun, the
-  // Try* sharded variants), which install the scope the pipeline's
+  // by the fallible entry points (TryObliviousJoin, Executor::TryRun,
+  // QueryInterpreter::TryRun), which install the scope the pipeline's
   // Checkpoint() polls read.  Polls fire only at public-size-determined
   // phase boundaries, so cancellation cannot leak row contents: a cancelled
   // run's trace is a byte-identical prefix of the uncancelled run's.
@@ -192,48 +185,19 @@ struct ExecContext {
   // checkpoint).  Like the token, only the Try* entry points install it.
   CheckpointSink* checkpoint_sink = nullptr;
 
-  // Sharded execution (core/shard.h): how many independent per-shard
-  // pipelines a Join/Aggregate splits into.  1 = never shard; k >= 2 =
-  // force k (subject to the public fallbacks of ResolveShardCount); 0 =
-  // auto crossover — shard only when the public sizes and the pool's
-  // worker count make the partition + merge overhead pay.  Public
-  // configuration, like the SortPolicy.
-  uint32_t shards = DefaultShards();
-
-  // Deterministic seed; public configuration.  Consumed by the sharded
-  // executor (core/shard.h) to derive the partition PRPs and the per-shard
-  // seeds; reserved for the other probabilistic paths (encrypted arrays).
+  // Deterministic seed; public configuration.  Retried attempts and
+  // service sessions derive their streams from it (ForAttempt, the query
+  // service); reserved for the probabilistic paths (encrypted arrays).
   uint64_t rng_seed = 0x0b11da7aba5e5eedULL;
 
   ThreadPool& pool_or_global() const {
     return pool != nullptr ? *pool : ThreadPool::Global();
   }
 
-  // Deterministic per-stream seed derivation (splitmix64 of seed ^ stream):
-  // shard i of a sharded operator runs under DeriveSeed(rng_seed, i), so
-  // concurrent pipelines draw from independent, reproducible streams.
+  // Deterministic per-stream seed derivation (splitmix64 of seed ^ stream),
+  // so concurrent or repeated runs draw from independent, reproducible
+  // streams.
   static uint64_t DeriveSeed(uint64_t seed, uint64_t stream);
-
-  // The context a shard pipeline runs under: same public knobs, but with
-  // the telemetry fully isolated (stats / stats_sink / trace_sink cleared —
-  // concurrent pipelines must not interleave writes into shared sinks; the
-  // sharded executor aggregates per-shard stats itself), recursive
-  // sharding disabled, and the rng seed re-derived per shard.  `shard_pool`
-  // (may be null = global) carries this shard's partitioned worker budget.
-  ExecContext ForShard(uint32_t shard_index, ThreadPool* shard_pool) const {
-    ExecContext c = *this;
-    c.stats = nullptr;
-    c.stats_sink = nullptr;
-    c.trace_sink = nullptr;
-    c.shards = 1;
-    c.pool = shard_pool;
-    // Streams [0, kShardSeedStreamBase) are reserved for the sharded
-    // executor's own PRPs (partition scatter keys, the key-to-shard map).
-    c.rng_seed = DeriveSeed(rng_seed, kShardSeedStreamBase + shard_index);
-    return c;
-  }
-
-  static constexpr uint64_t kShardSeedStreamBase = 16;
 
   // The context a *retry* of a failed execution runs under: identical
   // public knobs, but with the rng stream re-derived per attempt so a
@@ -242,8 +206,8 @@ struct ExecContext {
   // a solo reference run and a first service attempt share the seed
   // exactly).  Because outputs and oblivious traces are functions of the
   // public shape alone — the seed steers only PRP contents, never an
-  // access position (core/shard.h's byte-equality pins) — a retried run
-  // stays byte-identical to a fresh fault-free run of the same plan.
+  // access position — a retried run stays byte-identical to a fresh
+  // fault-free run of the same plan.
   ExecContext ForAttempt(uint32_t attempt) const {
     ExecContext c = *this;
     if (attempt > 0) {
@@ -252,9 +216,8 @@ struct ExecContext {
     return c;
   }
 
-  // Retry streams live well above the sharded executor's reserved band
-  // ([0, kShardSeedStreamBase + kMaxShards)) so an attempt-derived seed
-  // never collides with a shard stream derived from the same seed.
+  // Retry streams start at 1024, below the query service's session
+  // streams (QueryService::kSessionSeedStreamBase = 4096).
   static constexpr uint64_t kRetrySeedStreamBase = 1024;
 
   // Operators call this once on completion; also copies into `stats` so
@@ -269,7 +232,7 @@ struct ExecContext {
 // cancellation scope (token + deadline + checkpoint sink) and a recovery
 // scope, catches the internal fault unwind, and returns the result — or the
 // fault — as a StatusOr.  Every Try* API (TryObliviousJoin,
-// Executor::TryRun, TryShardedJoin, QueryInterpreter::TryRun) is this
+// Executor::TryRun, QueryInterpreter::TryRun) is this
 // wrapper around its abort-on-fault sibling; the wrapped computation is
 // unchanged, so traces and outputs stay byte-identical to the legacy path.
 template <typename Fn>

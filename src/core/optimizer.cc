@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/shard.h"
 #include "obliv/sort_kernel.h"
 #include "table/entry.h"
 
@@ -77,7 +76,7 @@ namespace {
 
 // Copy of `base` with new inputs and `extra` more recorded rewrites.
 // PlanNode's copy constructor carries everything else (label, predicate,
-// key_only, shards, and — for scans — the table; scan nodes are only
+// key_only, and — for scans — the table; scan nodes are only
 // cloned by the distinct-elimination rule, a rare shape whose one-time
 // table copy is accepted).
 std::shared_ptr<PlanNode> CloneWith(const PlanNode& base,
@@ -221,14 +220,18 @@ PlanPtr Rewrite(const PlanPtr& node, const SizeFeedback* fb) {
 
 // Modeled cost (ns) of one operator's dominant sorts, for the cost column.
 // Linear operators (scan, select, union) cost zero; the single-sort
-// operators pay one union sort; the join family routes through the same
-// EstimateShardedJoinNs the shard crossover uses (k = 1: the unsharded
-// pipeline).  Entry-width elements on the blocked kernel, like every other
+// operators pay one union sort; a join pipeline is dominated by ~4 full
+// sorts of its union (entry sort, two expansion prefix sorts, the align
+// sort).  Entry-width elements on the blocked kernel, like every other
 // consumer of the model.
 double SortNs(size_t n, unsigned workers) {
   return static_cast<double>(n) *
          obliv::EstimateSortNsPerElement(obliv::SortPolicy::kBlocked,
                                          sizeof(Entry), n, workers);
+}
+
+double JoinNs(size_t n1, size_t n2, unsigned workers) {
+  return 4.0 * SortNs(n1 + n2, workers);
 }
 
 double NodeCostNs(const PlanPtr& node, unsigned workers) {
@@ -246,8 +249,8 @@ double NodeCostNs(const PlanPtr& node, unsigned workers) {
                     workers);
     case PlanOp::kJoin:
     case PlanOp::kAggregate:
-      return EstimateShardedJoinNs(EstimateRows(node->inputs[0]),
-                                   EstimateRows(node->inputs[1]), 1, workers);
+      return JoinNs(EstimateRows(node->inputs[0]),
+                    EstimateRows(node->inputs[1]), workers);
     case PlanOp::kMultiwayJoin: {
       // The cascade: accumulator join at each step, sized by the fold.
       if (node->inputs.size() < 2) return 0.0;
@@ -256,7 +259,7 @@ double NodeCostNs(const PlanPtr& node, unsigned workers) {
       bool acc_unique = ProducedOrder(node->inputs[0]).key_unique;
       for (size_t i = 1; i < node->inputs.size(); ++i) {
         const size_t r = EstimateRows(node->inputs[i]);
-        total += EstimateShardedJoinNs(acc, r, 1, workers);
+        total += JoinNs(acc, r, workers);
         const bool ru = ProducedOrder(node->inputs[i]).key_unique;
         if (acc_unique && ru) acc = std::min(acc, r);
         else if (acc_unique) acc = r;
@@ -312,8 +315,8 @@ PlanPtr OptimizePlan(const PlanPtr& plan, const ExecContext& ctx,
                      const SizeFeedback* feedback) {
   OBLIVDB_CHECK(plan != nullptr);
   (void)ctx;  // every current rule is shape/size-driven; the knobs the
-              // executor applies afterwards (policy, shards) read the
-              // rewritten shape through the same shared cost model.
+              // executor applies afterwards (policy, elision) read the
+              // rewritten shape.
   if (feedback != nullptr && feedback->empty()) feedback = nullptr;
   return Rewrite(plan, feedback);
 }

@@ -12,7 +12,7 @@
 //
 // Three rewrite families, each with a byte-equality proof obligation
 // (pinned in tests/optimizer_test.cc across every SortPolicy x
-// sort_elision x shards setting):
+// sort_elision setting):
 //
 //   R1  Multiway join reordering.  ObliviousMultiwayJoin is a left-deep
 //       cascade whose packed output is {j, d_first[0], d_last[0]} — the
@@ -41,9 +41,8 @@
 //       and already (j, d0, d1)-covered — the sort is covered and no two
 //       rows can be equal, so the operator is the identity.
 //
-// Cost model: the same measured sort model the run-merge elision and the
-// sharding crossover use (obliv/sort_kernel.h, EstimateShardedJoinNs in
-// core/shard.h) — one model, three consumers, so "what the optimizer
+// Cost model: the same measured sort model the run-merge elision uses
+// (obliv/sort_kernel.h) — one model, two consumers, so "what the optimizer
 // thinks is fast" and "what the executor actually picks" can never
 // diverge.  EstimateRows is the size-propagation half: scan sizes are
 // exact (public), everything above is the standard key-uniqueness-aware

@@ -7,7 +7,6 @@
 #include "common/status.h"
 #include "core/multiway.h"
 #include "core/optimizer.h"
-#include "core/shard.h"
 
 namespace oblivdb::core {
 
@@ -67,10 +66,8 @@ PlanPtr Distinct(PlanPtr input) {
   return MakeNode(PlanOp::kDistinct, {std::move(input)});
 }
 
-PlanPtr Join(PlanPtr left, PlanPtr right, uint32_t shards) {
-  auto node = MakeNode(PlanOp::kJoin, {std::move(left), std::move(right)});
-  node->shards = shards;
-  return node;
+PlanPtr Join(PlanPtr left, PlanPtr right) {
+  return MakeNode(PlanOp::kJoin, {std::move(left), std::move(right)});
 }
 
 PlanPtr SemiJoin(PlanPtr left, PlanPtr right) {
@@ -81,10 +78,8 @@ PlanPtr AntiJoin(PlanPtr left, PlanPtr right) {
   return MakeNode(PlanOp::kAntiJoin, {std::move(left), std::move(right)});
 }
 
-PlanPtr Aggregate(PlanPtr left, PlanPtr right, uint32_t shards) {
-  auto node = MakeNode(PlanOp::kAggregate, {std::move(left), std::move(right)});
-  node->shards = shards;
-  return node;
+PlanPtr Aggregate(PlanPtr left, PlanPtr right) {
+  return MakeNode(PlanOp::kAggregate, {std::move(left), std::move(right)});
 }
 
 PlanPtr Union(PlanPtr left, PlanPtr right) {
@@ -202,10 +197,6 @@ void SignatureInto(const PlanPtr& node, std::string& out) {
     }
   }
   if (node->op == PlanOp::kSelect && node->key_only) out += "?k";
-  if (node->shards != 0) {
-    out += "/s";
-    out += std::to_string(node->shards);
-  }
   if (!node->inputs.empty()) {
     out += '(';
     for (size_t i = 0; i < node->inputs.size(); ++i) {
@@ -257,12 +248,8 @@ void ExplainAnnotatedInto(const PlanPtr& node,
   if (s.stats.op_rewrites > 0) {
     out += " rewrites=" + std::to_string(s.stats.op_rewrites);
   }
-  // Sharded execution (core/shard.h): the node split into k pipelines.
-  if (s.stats.op_shards > 1) {
-    out += " shards=" + std::to_string(s.stats.op_shards);
-  }
   // Resilience markers (core/stats.h): injected faults observed in the
-  // node's window, degradations taken (pool-spawn / EPC downgrades), and
+  // node's window, degradations taken (pool-spawn downgrades), and
   // transient-fault retries absorbed.  Zero counters render nothing, so
   // fault-free explains are unchanged.
   if (s.stats.op_faults_injected > 0) {
@@ -390,13 +377,8 @@ Table Executor::ExecNodeImpl(const PlanPtr& node, PlanResult* root_result) {
       out = ObliviousDistinct(*inputs[0], node_ctx, hints);
       break;
     case PlanOp::kJoin: {
-      // Joins route through the sharded executor; with a resolved shard
-      // count of 1 (the default everywhere sharding does not pay) it *is*
-      // the plain ObliviousJoin call.  The node's override wins over the
-      // context knob when set.
-      if (node->shards != 0) node_ctx.shards = node->shards;
       std::vector<JoinedRecord> joined =
-          ShardedJoin(*inputs[0], *inputs[1], node_ctx, hints);
+          ObliviousJoin(*inputs[0], *inputs[1], node_ctx, hints);
       out = PackJoined(joined);
       if (root_result != nullptr) root_result->join_rows = std::move(joined);
       break;
@@ -408,9 +390,8 @@ Table Executor::ExecNodeImpl(const PlanPtr& node, PlanResult* root_result) {
       out = ObliviousAntiJoin(*inputs[0], *inputs[1], node_ctx, hints);
       break;
     case PlanOp::kAggregate: {
-      if (node->shards != 0) node_ctx.shards = node->shards;
       std::vector<JoinGroupAggregate> aggs =
-          ShardedJoinAggregate(*inputs[0], *inputs[1], node_ctx, hints);
+          ObliviousJoinAggregate(*inputs[0], *inputs[1], node_ctx, hints);
       out = PackAggregates(aggs);
       if (root_result != nullptr) {
         root_result->aggregate_rows = std::move(aggs);

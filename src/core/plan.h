@@ -78,12 +78,6 @@ struct PlanNode {
   // copies it into JoinStats::op_rewrites so the annotated ExplainPlan can
   // render `rewrites=N`.
   uint64_t rewrites = 0;
-  // kJoin / kAggregate: per-node shard-count override (core/shard.h).
-  // 0 = inherit ExecContext::shards (the OBLIVDB_SHARDS knob / auto
-  // crossover); 1 = pin this node unsharded; k >= 2 = force k shards,
-  // subject to ResolveShardCount's public fallbacks.  Public plan
-  // metadata, like the operator itself.
-  uint32_t shards = 0;
   std::vector<PlanPtr> inputs;
 };
 
@@ -104,12 +98,10 @@ PlanPtr Scan(Table table, OrderSpec declared_order);
 // PlanNode::key_only) — the optimizer's license to push the select down.
 PlanPtr Select(PlanPtr input, CtRowPredicate predicate, bool key_only = false);
 PlanPtr Distinct(PlanPtr input);
-// `shards` is the node's sharded-execution override (PlanNode::shards;
-// 0 = inherit the context's knob).
-PlanPtr Join(PlanPtr left, PlanPtr right, uint32_t shards = 0);
+PlanPtr Join(PlanPtr left, PlanPtr right);
 PlanPtr SemiJoin(PlanPtr left, PlanPtr right);
 PlanPtr AntiJoin(PlanPtr left, PlanPtr right);
-PlanPtr Aggregate(PlanPtr left, PlanPtr right, uint32_t shards = 0);
+PlanPtr Aggregate(PlanPtr left, PlanPtr right);
 PlanPtr Union(PlanPtr left, PlanPtr right);
 PlanPtr MultiwayJoin(std::vector<PlanPtr> inputs);
 
@@ -143,16 +135,16 @@ OrderSpec ProducedOrder(const PlanPtr& plan);
 std::string ExplainPlan(const PlanPtr& plan);
 
 // Canonical string of a plan's *shape*: operator kinds and arity, public
-// scan sizes and declared orders, key_only flags and per-node shard
-// overrides — never row contents, table names, or predicate identity.
+// scan sizes, declared orders and key_only flags — never row contents,
+// table names, or predicate identity.
 // Two plans with equal signatures present the same public profile to the
 // executor (sizes, orders, operator schedule), so the signature is the
 // normalization key for the service plan cache, the circuit breaker, and
 // the optimizer's revealed-size feedback (core/optimizer.h SizeFeedback).
 // Built from public metadata only, so computing or logging it leaks
-// nothing.  Example: "join/s2(select?k(scan#128),scan#64@k!)" — a 2-shard
-// join of a key-only select over a 128-row scan with a key-sorted,
-// key-unique 64-row scan.  Selects with different predicates over equal
+// nothing.  Example: "join(select?k(scan#128),scan#64@k!)" — a join of a
+// key-only select over a 128-row scan with a key-sorted, key-unique
+// 64-row scan.  Selects with different predicates over equal
 // shapes share a signature; consumers that must distinguish them (e.g.
 // the plan cache's identity hit) additionally require plan-pointer
 // identity.
@@ -162,10 +154,10 @@ struct PlanNodeStats;
 
 // Post-execution rendering: the same tree annotated with each node's
 // revealed output size, when order propagation elided entry sorts
-// (op_sorts_elided > 0) a `sort=elided` marker, when the node ran sharded (op_shards > 1) a `shards=k` marker,
-// and — when the fault-injection counters recorded activity during the
-// node's window (core/stats.h) — `faults=N`, `degraded=N`, and
-// `retries=N` markers, e.g.
+// (op_sorts_elided > 0) a `sort=elided` marker, and — when the
+// fault-injection counters recorded activity during the node's window
+// (core/stats.h) — `faults=N`, `degraded=N`, and `retries=N` markers,
+// e.g.
 //
 //   aggregate [rows=3 sort=elided]
 //     join [rows=7 sort=elided]
@@ -236,7 +228,7 @@ class Executor {
  private:
   // ExecNode annotates any unwinding environmental fault with this node's
   // operator name (Status::Annotate), so a fault raised deep in the tree
-  // surfaces naming the root-to-operator path ("join: shard[1]: MAC ...");
+  // surfaces naming the root-to-operator path ("distinct: join: MAC ...");
   // ExecNodeImpl is the actual recursive evaluator.
   Table ExecNode(const PlanPtr& node, PlanResult* root_result);
   Table ExecNodeImpl(const PlanPtr& node, PlanResult* root_result);

@@ -52,25 +52,23 @@ struct JoinStats {
   // the same plan.  Rendered by the annotated ExplainPlan as `rewrites=N`.
   uint64_t op_rewrites = 0;
 
-  // Sharded execution (core/shard.h): the number of per-shard pipelines the
-  // operator ran (1 = unsharded), and each shard pipeline's wall time in
-  // shard order.  The shard count is a function of the public sizes and the
-  // ExecContext::shards knob, so — like every other counter here — it is
-  // identical across different data of the same shape.  Rendered by the
-  // annotated ExplainPlan as `shards=k`.
+  // Stand-ins kept for oblivbench, which still reads a shard count and
+  // per-shard wall times: execution is never sharded, so op_shards is
+  // always 1 and shard_seconds always empty.  They go with the benchmark
+  // change that retires the shard.* metrics (ROADMAP item 6), like the
+  // ArtifactCache stand-in (obliv/artifact_cache.h).
   uint64_t op_shards = 1;
   std::vector<double> shard_seconds;
 
   // Resilience telemetry (common/fault.h): faults the deterministic
   // injector fired inside this operator's execution window, recovery
-  // degradations taken (sort-policy downgrades on pool-spawn refusal,
-  // shard-count halvings on EPC exhaustion), and bounded retries (transient
-  // MAC faults cleared by re-reading).  Functions of public configuration
-  // — the fault spec, seed, and arrival counts — never of row contents.
+  // degradations taken (sequential sorts on pool-spawn refusal), and
+  // bounded retries (transient MAC faults cleared by re-reading).
+  // Functions of public configuration — the fault spec, seed, and arrival
+  // counts — never of row contents.
   // Rendered by the annotated ExplainPlan as `faults=i degraded=d
   // retries=r` when nonzero.  Window deltas of the process-wide counters
-  // (RecordFaultDelta below), so the sharded wrappers own their whole
-  // window and FoldShardStats deliberately does not sum these.
+  // (RecordFaultDelta below).
   uint64_t op_faults_injected = 0;
   uint64_t op_degradations = 0;
   uint64_t op_retries = 0;

@@ -6,11 +6,12 @@ namespace oblivdb::memtrace {
 namespace {
 
 // Tracing is a sequential-mode activity (parallel sorts and concurrent
-// shard pipelines require the sink to be off), but *untraced* OArray
-// construction can happen from concurrent shard pipelines (core/shard.cc),
-// so the id counter must be race-free.  Relaxed ordering suffices: ids only
-// need to be unique, and in every traced (sequential) context the sequence
-// is the same as the old plain counter's.  The sink pointer itself lives in
+// query sessions require the sink to be off), but *untraced* OArray
+// construction can happen from concurrent query sessions
+// (service/query_service.h), so the id counter must be race-free.
+// Relaxed ordering suffices: ids only need to be unique, and in every
+// traced (sequential) context the sequence is the same as the old plain
+// counter's.  The sink pointer itself lives in
 // trace.h as an inline variable so the per-access test inlines everywhere.
 std::atomic<uint32_t> g_next_array_id{0};
 

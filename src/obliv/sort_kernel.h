@@ -3,8 +3,8 @@
 // header comment for the tier-by-tier contract); this header composes the
 // kernels — the reference network, and the blocked kernel fanned out on the
 // pool when it is wider than one worker — and holds the small cost model
-// that the run-merge elision (RunMergePays), the shard crossover
-// (core/shard.h) and the optimizer (core/optimizer.h) price sorts with.
+// that the run-merge elision (RunMergePays) and the optimizer
+// (core/optimizer.h) price sorts with.
 //
 // The model estimates per-element nanoseconds from four public quantities —
 // policy, element width, range length and pool worker count — so every

@@ -2,20 +2,19 @@
 //
 // The paper's engine executes one query at a time; a realistic deployment
 // serves many clients.  The service owns a pool of session workers, each
-// with a private worker-thread budget carved out of the global pool (the
-// ForShard discipline of core/shard.h, lifted one level: workers / N
-// threads per session), and pushes every submitted query through a
-// bounded FIFO admission queue (service/admission.h).  Two layers make
-// the multiplexing both *safe* and *fast*:
+// with a private worker-thread budget carved out of the global pool
+// (workers / N threads per session), and pushes every submitted query
+// through a bounded FIFO admission queue (service/admission.h).  Two
+// layers make the multiplexing both *safe* and *fast*:
 //
 //   1. Session isolation.  Each query runs under a private ExecContext
 //      clone of the service's base: its own stats/trace sinks, its own
 //      CancelToken and deadline, a deterministically derived rng seed
 //      (DeriveSeed(base_seed, kSessionSeedStreamBase + rng_stream) — a
-//      stream namespace disjoint from the sharded executor's), and a
+//      stream namespace disjoint from the retry streams), and a
 //      session-slot ThreadPool whose size is independent of which slot
-//      runs the query (all slots have equal budgets, so shard decisions
-//      and traces cannot depend on placement).  A query's output — and,
+//      runs the query (all slots have equal budgets, so traces cannot
+//      depend on placement).  A query's output — and,
 //      for traced queries, its public-memory trace — is byte-identical to
 //      a solo Executor run under MakeSessionContext(options)
 //      (tests/service_test.cc pins it).
@@ -125,7 +124,7 @@ struct ServiceOptions {
 class QueryService {
  public:
   // `base` supplies the public execution knobs every session inherits
-  // (sort policy, elision, optimize, shards, rng root);
+  // (sort policy, elision, optimize, rng root);
   // its per-query fields (stats, sinks, token, pool) are ignored — those
   // come from each query's SessionOptions.
   explicit QueryService(core::ExecContext base, ServiceOptions options = {});
@@ -208,11 +207,9 @@ class QueryService {
   const PlanCache& plan_cache() const { return plan_cache_; }
   const CircuitBreaker& breaker() const { return breaker_; }
 
-  // Session rng streams live at kSessionSeedStreamBase + rng_stream —
-  // far above the sharded executor's reserved band ([0,
-  // kShardSeedStreamBase + kMaxShards)), so a session seed can never
-  // collide with a shard seed derived from the same root.  Retry attempts
-  // re-derive *within* a session seed on ExecContext::kRetrySeedStreamBase.
+  // Session rng streams live at kSessionSeedStreamBase + rng_stream, above
+  // the retry band that starts at ExecContext::kRetrySeedStreamBase.
+  // Retry attempts re-derive *within* a session seed on that band.
   static constexpr uint64_t kSessionSeedStreamBase = 4096;
 
  private:

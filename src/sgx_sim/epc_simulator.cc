@@ -1,11 +1,9 @@
 #include "sgx_sim/epc_simulator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 
 #include "common/check.h"
-#include "common/fault.h"
 
 namespace oblivdb::sgx_sim {
 namespace {
@@ -16,36 +14,7 @@ uint64_t AlignUpToPage(uint64_t v) {
   return (v + kPageBytes - 1) / kPageBytes * kPageBytes;
 }
 
-std::atomic<uint64_t>& EpcLimitSlot() {
-  static std::atomic<uint64_t> limit{0};
-  return limit;
-}
-
 }  // namespace
-
-void SetEpcLimitBytes(uint64_t bytes) {
-  EpcLimitSlot().store(bytes, std::memory_order_relaxed);
-}
-
-uint64_t EpcLimitBytes() {
-  return EpcLimitSlot().load(std::memory_order_relaxed);
-}
-
-Status TryReserveEpc(uint64_t bytes) {
-  if (FaultInjector::Global().ShouldFire(FaultSite::kEpcEvict)) {
-    return Status(StatusCode::kResourceExhausted,
-                  "injected EPC exhaustion refusing reservation of " +
-                      std::to_string(bytes) + " bytes");
-  }
-  const uint64_t limit = EpcLimitBytes();
-  if (limit != 0 && bytes > limit) {
-    return Status(StatusCode::kResourceExhausted,
-                  "EPC budget of " + std::to_string(limit) +
-                      " bytes refuses reservation of " +
-                      std::to_string(bytes) + " bytes");
-  }
-  return Status::Ok();
-}
 
 EpcSimulator::EpcSimulator(const SgxCostModel& model)
     : model_(model),

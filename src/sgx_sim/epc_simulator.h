@@ -31,33 +31,10 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "common/timer.h"
 #include "memtrace/trace.h"
 
 namespace oblivdb::sgx_sim {
-
-// ---- Enclave-heap admission (EPC budget) ----
-//
-// The simulator's second role: a process-wide admission check standing in
-// for the EADD/EAUG failures a real enclave hits when the EPC heap is
-// exhausted.  The sharded executor asks before multiplying its working set
-// k ways (core/shard.cc::ResolveShardCount) and halves the shard count on
-// each refusal — graceful degradation instead of an OOM abort.
-//
-// A reservation is refused when (a) the deterministic fault injector's
-// "epc_evict" site fires for this arrival (common/fault.h), or (b) an
-// explicit budget set by SetEpcLimitBytes is exceeded.  Reservations are
-// instantaneous admission checks, not leases — nothing is held or released.
-// Both inputs are public (a spec/seed/arrival function and a byte count
-// derived from public sizes), so admission decisions are trace-safe.
-
-// 0 = unlimited (the default; the injector can still refuse).
-void SetEpcLimitBytes(uint64_t bytes);
-uint64_t EpcLimitBytes();
-
-// kOk, or kResourceExhausted naming the refused byte count.
-Status TryReserveEpc(uint64_t bytes);
 
 struct SgxCostModel {
   // Usable EPC bytes.  Real SGX v1: ~93 MiB.  The figure-8 harness scales

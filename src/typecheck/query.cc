@@ -39,10 +39,8 @@ QueryPtr QDistinct(QueryPtr input) {
   return MakeQuery(core::PlanOp::kDistinct, {std::move(input)});
 }
 
-QueryPtr QJoin(QueryPtr left, QueryPtr right, uint32_t shards) {
-  auto q = MakeQuery(core::PlanOp::kJoin, {std::move(left), std::move(right)});
-  q->shards = shards;
-  return q;
+QueryPtr QJoin(QueryPtr left, QueryPtr right) {
+  return MakeQuery(core::PlanOp::kJoin, {std::move(left), std::move(right)});
 }
 
 QueryPtr QSemiJoin(QueryPtr left, QueryPtr right) {
@@ -55,11 +53,9 @@ QueryPtr QAntiJoin(QueryPtr left, QueryPtr right) {
                    {std::move(left), std::move(right)});
 }
 
-QueryPtr QAggregate(QueryPtr left, QueryPtr right, uint32_t shards) {
-  auto q = MakeQuery(core::PlanOp::kAggregate,
-                     {std::move(left), std::move(right)});
-  q->shards = shards;
-  return q;
+QueryPtr QAggregate(QueryPtr left, QueryPtr right) {
+  return MakeQuery(core::PlanOp::kAggregate,
+                   {std::move(left), std::move(right)});
 }
 
 QueryPtr QUnion(QueryPtr left, QueryPtr right) {
@@ -154,8 +150,7 @@ core::PlanPtr LowerNode(const QueryPtr& query, const QueryCatalog& catalog) {
       return core::Distinct(LowerNode(query->children[0], catalog));
     case core::PlanOp::kJoin:
       return core::Join(LowerNode(query->children[0], catalog),
-                        LowerNode(query->children[1], catalog),
-                        query->shards);
+                        LowerNode(query->children[1], catalog));
     case core::PlanOp::kSemiJoin:
       return core::SemiJoin(LowerNode(query->children[0], catalog),
                             LowerNode(query->children[1], catalog));
@@ -164,8 +159,7 @@ core::PlanPtr LowerNode(const QueryPtr& query, const QueryCatalog& catalog) {
                             LowerNode(query->children[1], catalog));
     case core::PlanOp::kAggregate:
       return core::Aggregate(LowerNode(query->children[0], catalog),
-                             LowerNode(query->children[1], catalog),
-                             query->shards);
+                             LowerNode(query->children[1], catalog));
     case core::PlanOp::kUnion:
       return core::Union(LowerNode(query->children[0], catalog),
                          LowerNode(query->children[1], catalog));

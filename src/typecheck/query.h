@@ -49,13 +49,6 @@ struct QueryExpr {
   // the select below joins.  Declared client metadata, same trust-boundary
   // contract as a declared scan order.
   bool key_only = false;
-  // kJoin / kAggregate: sharded-execution override, lowered verbatim onto
-  // PlanNode::shards (0 = inherit the interpreter context's knob).  Public
-  // program text, like the operator itself — the compositional
-  // obliviousness argument is untouched: a sharded node's access pattern
-  // is still a function of its public input sizes, its revealed (now
-  // per-shard) output sizes and the knob (core/shard.h).
-  uint32_t shards = 0;
   std::vector<QueryPtr> children;
 };
 
@@ -66,10 +59,10 @@ QueryPtr QScan(std::string table_name);
 QueryPtr QSelect(QueryPtr input, core::CtRowPredicate predicate,
                  bool key_only = false);
 QueryPtr QDistinct(QueryPtr input);
-QueryPtr QJoin(QueryPtr left, QueryPtr right, uint32_t shards = 0);
+QueryPtr QJoin(QueryPtr left, QueryPtr right);
 QueryPtr QSemiJoin(QueryPtr left, QueryPtr right);
 QueryPtr QAntiJoin(QueryPtr left, QueryPtr right);
-QueryPtr QAggregate(QueryPtr left, QueryPtr right, uint32_t shards = 0);
+QueryPtr QAggregate(QueryPtr left, QueryPtr right);
 QueryPtr QUnion(QueryPtr left, QueryPtr right);
 QueryPtr QMultiwayJoin(std::vector<QueryPtr> children);
 

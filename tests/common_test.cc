@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/bits.h"
 #include "common/check.h"
 #include "common/fault.h"
 #include "common/status.h"
+#include "core/exec_context.h"
 
 namespace oblivdb {
 namespace {
@@ -75,6 +78,19 @@ TEST(BitsTest, MixSeedIsDeterministicAndStreamSeparated) {
 
 // ---------------------------------------------------------------------------
 // Status / StatusOr (common/status.h).
+
+// ExecContext::DeriveSeed is MixSeed under the name the retry and session
+// streams use (kRetrySeedStreamBase, the service's session base).
+TEST(BitsTest, SeedDerivationDeterministicAndDistinct) {
+  const uint64_t base = 0x1234;
+  std::set<uint64_t> seen;
+  for (uint64_t stream = 0; stream < 64; ++stream) {
+    const uint64_t d = core::ExecContext::DeriveSeed(base, stream);
+    EXPECT_EQ(d, core::ExecContext::DeriveSeed(base, stream));
+    seen.insert(d);
+  }
+  EXPECT_EQ(seen.size(), 64u);
+}
 
 TEST(StatusTest, DefaultIsOk) {
   Status s;
@@ -163,27 +179,29 @@ TEST(FaultSpecTest, EmptyTextParsesToAllOff) {
 
 TEST(FaultSpecTest, ParsesEveryModeKind) {
   const StatusOr<FaultSpec> parsed = FaultSpec::Parse(
-      "decrypt_mac:0.01;epc_evict:5;pool_spawn:once;alloc:off;"
-      "worker_crash:3");
+      "decrypt_mac:0.01;pool_spawn:once;alloc:off;worker_crash:3");
   ASSERT_TRUE(parsed.ok());
-  const FaultSpec& spec = *parsed;
-  EXPECT_EQ(spec.sites[0].kind, FaultMode::Kind::kProbability);
-  EXPECT_DOUBLE_EQ(spec.sites[0].probability, 0.01);
-  EXPECT_EQ(spec.sites[1].kind, FaultMode::Kind::kEveryNth);
-  EXPECT_EQ(spec.sites[1].n, 5u);
-  EXPECT_EQ(spec.sites[2].kind, FaultMode::Kind::kOnce);
-  EXPECT_EQ(spec.sites[3].kind, FaultMode::Kind::kOff);
-  EXPECT_EQ(spec.sites[4].kind, FaultMode::Kind::kEveryNth);
-  EXPECT_EQ(spec.sites[4].n, 3u);
-  EXPECT_TRUE(spec.any());
+  auto site = [&](FaultSite s) -> const FaultMode& {
+    return parsed->sites[static_cast<size_t>(s)];
+  };
+  EXPECT_EQ(site(FaultSite::kDecryptMac).kind, FaultMode::Kind::kProbability);
+  EXPECT_DOUBLE_EQ(site(FaultSite::kDecryptMac).probability, 0.01);
+  EXPECT_EQ(site(FaultSite::kPoolSpawn).kind, FaultMode::Kind::kOnce);
+  EXPECT_EQ(site(FaultSite::kAlloc).kind, FaultMode::Kind::kOff);
+  EXPECT_EQ(site(FaultSite::kWorkerCrash).kind, FaultMode::Kind::kEveryNth);
+  EXPECT_EQ(site(FaultSite::kWorkerCrash).n, 3u);
+  EXPECT_TRUE(parsed->any());
 }
 
 TEST(FaultSpecTest, RejectsUnknownSiteAndBadModeNamingTheToken) {
-  const StatusOr<FaultSpec> bad_site = FaultSpec::Parse("bogus_site:once");
-  ASSERT_FALSE(bad_site.ok());
-  EXPECT_EQ(bad_site.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad_site.status().message().find("bogus_site"),
-            std::string::npos);
+  // "epc_evict" named a site that no longer exists; it is unknown now.
+  for (const char* token : {"bogus_site", "epc_evict"}) {
+    const StatusOr<FaultSpec> bad_site =
+        FaultSpec::Parse(std::string(token) + ":1");
+    ASSERT_FALSE(bad_site.ok()) << token;
+    EXPECT_EQ(bad_site.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bad_site.status().message().find(token), std::string::npos);
+  }
   const StatusOr<FaultSpec> bad_mode = FaultSpec::Parse("decrypt_mac:1.5");
   ASSERT_FALSE(bad_mode.ok());
   EXPECT_EQ(bad_mode.status().code(), StatusCode::kInvalidArgument);
@@ -213,12 +231,23 @@ TEST(FaultInjectorTest, SameSpecAndSeedFireTheSameArrivals) {
   EXPECT_LT(count, 64u);
 }
 
+// The probabilistic streams are fixed per site, so retiring a site never
+// moves another site's fired sequence.
+TEST(FaultInjectorTest, SiteStreamsAreStable) {
+  EXPECT_EQ(FaultSiteStream(FaultSite::kDecryptMac), 1u);
+  EXPECT_EQ(FaultSiteStream(FaultSite::kPoolSpawn), 3u);
+  EXPECT_EQ(FaultSiteStream(FaultSite::kAlloc), 4u);
+  EXPECT_EQ(FaultSiteStream(FaultSite::kWorkerCrash), 5u);
+}
+
 TEST(FaultInjectorTest, EveryNthAndOnceModes) {
   {
-    ScopedFaultInjection scoped("epc_evict:3");
+    ScopedFaultInjection scoped("alloc:3");
     FaultInjector& inj = FaultInjector::Global();
     std::vector<bool> fired;
-    for (int i = 0; i < 9; ++i) fired.push_back(inj.ShouldFire(FaultSite::kEpcEvict));
+    for (int i = 0; i < 9; ++i) {
+      fired.push_back(inj.ShouldFire(FaultSite::kAlloc));
+    }
     EXPECT_EQ(fired, (std::vector<bool>{false, false, true, false, false, true,
                                         false, false, true}));
   }
@@ -247,7 +276,7 @@ TEST(FaultInjectorTest, ScopedInjectionRestoresCounters) {
 }
 
 TEST(FaultInjectorTest, DisabledSiteDoesNotCountArrivals) {
-  ScopedFaultInjection scoped("epc_evict:2");
+  ScopedFaultInjection scoped("alloc:2");
   FaultInjector& inj = FaultInjector::Global();
   EXPECT_FALSE(inj.ShouldFire(FaultSite::kDecryptMac));  // site off
   const FaultCounters counters = inj.Snapshot();

@@ -1,7 +1,7 @@
 // The cost-based plan optimizer (core/optimizer.h): every rewrite must be
 // a pure function of (plan shape, public sizes, public flags), keep the
 // root Table output byte-identical to the unoptimized plan under every
-// SortPolicy x sort_elision x shards setting, leave unrewritable plans
+// SortPolicy x sort_elision setting, leave unrewritable plans
 // pointer-identical, and surface its decisions through op_rewrites, the
 // annotated ExplainPlan, and the cost-annotated ExplainPlanWithCosts.
 
@@ -267,7 +267,7 @@ TEST(OptimizerTest, ChosenPlanIdenticalAcrossDataOfSameSizes) {
 // ---------------------------------------------------------------------------
 // Byte-equality across the whole public-knob grid.
 
-TEST(OptimizerTest, ByteIdenticalAcrossPoliciesElisionAndShards) {
+TEST(OptimizerTest, ByteIdenticalAcrossPoliciesAndElision) {
   auto pred = [](const Record& r) { return KeyBelow(r, 5); };
   const std::vector<PlanPtr> shapes = {
       SkewedMultiway(3),
@@ -284,13 +284,10 @@ TEST(OptimizerTest, ByteIdenticalAcrossPoliciesElisionAndShards) {
   for (const PlanPtr& plan : shapes) {
     for (const obliv::SortPolicy policy : kAllPolicies) {
       for (const bool elision : {false, true}) {
-        for (const uint32_t shards : {1u, 4u}) {
-          ExecContext ctx;
-          ctx.sort_policy = policy;
-          ctx.sort_elision = elision;
-          ctx.shards = shards;
-          ExpectByteEqual(plan, ctx);
-        }
+        ExecContext ctx;
+        ctx.sort_policy = policy;
+        ctx.sort_elision = elision;
+        ExpectByteEqual(plan, ctx);
       }
     }
   }

@@ -156,11 +156,6 @@ TEST(PlanTraceTest, PlanTraceEqualsDirectCallTrace) {
   memtrace::VectorTraceSink plan_sink;
   {
     ExecContext ctx;
-    // Pinned unsharded: the direct-call sequence below is the unsharded
-    // pipeline, so the plan side must be too (under OBLIVDB_SHARDS the
-    // plan's kJoin would otherwise route through core/shard.h; that path's
-    // trace properties are pinned in tests/shard_test.cc).
-    ctx.shards = 1;
     ctx.trace_sink = &plan_sink;
     Executor ex(ctx);
     (void)ex.Execute(
@@ -193,11 +188,6 @@ TEST(PlanTraceTest, ThreeNodePlanTraceDataIndependent) {
       memtrace::HashTraceSink sink;
       ExecContext ctx;
       ctx.sort_policy = policy;
-      // Pinned unsharded: these variants share (n1, n2, m) but not group
-      // structure, and a sharded run additionally (and by design) reveals
-      // the per-shard output split — the sharded data-independence
-      // property is pinned in tests/shard_test.cc instead.
-      ctx.shards = 1;
       ctx.trace_sink = &sink;
       Executor ex(ctx);
       (void)ex.Execute(core::Join(core::Scan(tc.t1), core::Scan(tc.t2)));
@@ -321,13 +311,12 @@ TEST(PlanExplainTest, RendersTree) {
 }
 
 // The annotated overload renders each node's revealed output size; a node
-// whose sorts all ran (no elision, no sharding, no faults) carries no other
+// whose sorts all ran (no elision, no faults) carries no other
 // marker.
 TEST(PlanExplainTest, AnnotatedExplainShowsRevealedSizes) {
   const PlanPtr plan =
       core::Distinct(core::Join(core::Scan(SmallT1()), core::Scan(SmallT2())));
   ExecContext ctx;
-  ctx.shards = 1;  // exact-render check assumes no "shards=k" annotation
   Executor ex(ctx);
   (void)ex.Execute(plan);
 
@@ -492,9 +481,6 @@ TEST(PlanElisionTest, DeclaredKeyUniqueScanElidesAugmentAndAlign) {
       core::Scan(facts));
   ExecContext on;
   on.sort_elision = true;
-  // Pinned unsharded: the exact elision count below (one entry sort + the
-  // align sort) is the unsharded join's; a sharded run elides per shard.
-  on.shards = 1;
   ExecContext off = on;
   off.sort_elision = false;
   Executor ex_on(on);
@@ -659,9 +645,6 @@ TEST(PlanPoolWidthTest, OutputTraceAndElisionIdenticalAcrossWidths) {
         ctx.sort_policy = policy;
         ctx.pool = pool;
         ctx.trace_sink = &sink;
-        // Pinned unsharded: the auto shard count is a function of the
-        // worker count (tests/shard_test.cc covers forced shard counts).
-        ctx.shards = 1;
         Executor ex(ctx);
         Run run{ex.Execute(plan), 0, 0};
         run.trace = sink.digest();

@@ -162,8 +162,8 @@ TEST(AnnotateTest, ChainsOperatorNamesOntoTheMessage) {
   const Status once = base.Annotate("join");
   EXPECT_EQ(once.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(once.message(), "join: alloc refused");
-  const Status twice = Status(once).Annotate("shard[2]");
-  EXPECT_EQ(twice.message(), "shard[2]: join: alloc refused");
+  const Status twice = Status(once).Annotate("distinct");
+  EXPECT_EQ(twice.message(), "distinct: join: alloc refused");
   EXPECT_TRUE(Status::Ok().Annotate("join").ok());  // ok stays ok
 }
 

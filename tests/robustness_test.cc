@@ -18,7 +18,6 @@
 #include "core/comparators.h"
 #include "core/join.h"
 #include "core/plan.h"
-#include "core/shard.h"
 #include "memtrace/encrypted_oarray.h"
 #include "memtrace/oarray.h"
 #include "memtrace/sinks.h"
@@ -327,71 +326,6 @@ TEST(FaultSiteTest, PoolSpawnFaultDowngradesSortInPlace) {
   }
 }
 
-TEST(FaultSiteTest, EpcFaultHalvesShardCount) {
-  const auto tc = workload::OneToOne(256, 3);
-  core::ExecContext ctx;
-  ctx.shards = 4;
-  core::JoinStats stats;
-  ctx.stats = &stats;
-  const auto unsharded = core::ObliviousJoin(tc.t1, tc.t2);
-  std::vector<JoinedRecord> rows;
-  {
-    // First EPC reservation (k=4) refused, the retry at k=2 admitted.
-    ScopedFaultInjection scoped("epc_evict:once");
-    rows = core::ShardedJoin(tc.t1, tc.t2, ctx);
-  }
-  EXPECT_EQ(rows, unsharded);
-  EXPECT_EQ(stats.op_shards, 2u);
-  EXPECT_EQ(stats.op_degradations, 1u);
-  EXPECT_GE(stats.op_faults_injected, 1u);
-}
-
-TEST(FaultSiteTest, EpcExhaustionDowngradesToUnsharded) {
-  const auto tc = workload::OneToOne(256, 3);
-  core::ExecContext ctx;
-  ctx.shards = 4;
-  core::JoinStats stats;
-  ctx.stats = &stats;
-  const auto unsharded = core::ObliviousJoin(tc.t1, tc.t2);
-  std::vector<JoinedRecord> rows;
-  {
-    ScopedFaultInjection scoped("epc_evict:1");  // every reservation refused
-    rows = core::ShardedJoin(tc.t1, tc.t2, ctx);
-  }
-  EXPECT_EQ(rows, unsharded);
-  EXPECT_EQ(stats.op_shards, 1u);  // the unsharded fallback reported
-  EXPECT_EQ(stats.op_degradations, 2u);  // 4 -> 2 -> 1
-}
-
-TEST(FaultSiteTest, EpcBudgetLimitDowngradesWithoutInjection) {
-  const auto tc = workload::OneToOne(256, 3);
-  core::ExecContext ctx;
-  ctx.shards = 4;
-  sgx_sim::SetEpcLimitBytes(1);  // no shard footprint fits one byte
-  const uint32_t k = core::ResolveShardCount(tc.t1, tc.t2, ctx);
-  sgx_sim::SetEpcLimitBytes(0);
-  EXPECT_EQ(k, 1u);
-}
-
-TEST(FaultSiteTest, PoolSpawnFaultRunsShardPipelinesSequentially) {
-  const auto tc = workload::OneToOne(256, 3);
-  core::ExecContext ctx;
-  ctx.shards = 2;
-  const auto clean = core::ShardedJoin(tc.t1, tc.t2, ctx);
-  core::JoinStats stats;
-  ctx.stats = &stats;
-  std::vector<JoinedRecord> faulty;
-  {
-    ScopedFaultInjection scoped("pool_spawn:1");
-    faulty = core::ShardedJoin(tc.t1, tc.t2, ctx);
-  }
-  // The shard fan-out degrades to the sequential driver loop; outputs are
-  // unchanged and the degradation is visible in the operator's window.
-  EXPECT_EQ(clean, faulty);
-  EXPECT_EQ(stats.op_shards, 2u);
-  EXPECT_GT(stats.op_degradations, 0u);
-}
-
 TEST(FaultInjectorTest, InjectedFaultSequenceAndStatusAreDeterministic) {
   auto run = [] {
     ScopedFaultInjection scoped("decrypt_mac:0.9", /*seed=*/1234);
@@ -462,18 +396,6 @@ TEST(CancellationTest, PreCancelledTokenReturnsCancelled) {
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
   EXPECT_NE(r.status().message().find("cancelled at checkpoint"),
             std::string::npos);
-}
-
-TEST(CancellationTest, PreCancelledTokenCancelsShardedJoin) {
-  const auto tc = workload::OneToOne(256, 3);
-  CancelToken token;
-  token.Cancel();
-  core::ExecContext ctx;
-  ctx.shards = 2;
-  ctx.cancel_token = &token;
-  const auto r = core::TryShardedJoin(tc.t1, tc.t2, ctx);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
 }
 
 TEST(CancellationTest, TinyDeadlineReturnsDeadlineExceeded) {
@@ -663,25 +585,29 @@ TEST(TryRunTest, CancellationSurfacesThroughExecutor) {
 }
 
 TEST(TryRunTest, ExplainPlanAnnotatesFaultCounters) {
-  const auto tc = workload::OneToOne(256, 3);
-  const auto plan =
-      core::Join(core::Scan(tc.t1), core::Scan(tc.t2), /*shards=*/4);
-  core::Executor executor(core::ExecContext{});
-  core::PlanResult result;
+  // Large enough that the join's sorts reach the fan-out cutoff, so the
+  // explicit 2-worker pool meets the spawn probe.
+  const auto tc = workload::OneToOne(size_t{1} << 13, 3);
+  const auto plan = core::Join(core::Scan(tc.t1), core::Scan(tc.t2));
+  ThreadPool pool(2);
+  core::ExecContext ctx;
+  ctx.pool = &pool;
+  core::Executor executor(ctx);
   {
-    ScopedFaultInjection scoped("epc_evict:once");
-    const auto r = executor.TryRun(plan);
-    ASSERT_TRUE(r.ok());
-    result = r.value();
+    // The first fan-out is refused and runs sequentially; every later
+    // one is admitted.
+    ScopedFaultInjection scoped("pool_spawn:once");
+    ASSERT_TRUE(executor.TryRun(plan).ok());
   }
   const std::string annotated = core::ExplainPlan(plan, executor.node_stats());
-  EXPECT_NE(annotated.find("shards=2"), std::string::npos) << annotated;
-  EXPECT_NE(annotated.find("degraded=1"), std::string::npos) << annotated;
-  EXPECT_NE(annotated.find("faults=1"), std::string::npos) << annotated;
+  EXPECT_NE(annotated.find("join [rows=" + std::to_string(tc.t1.size()) +
+                           " faults=1 degraded=1]"),
+            std::string::npos)
+      << annotated;
   // A clean run renders no resilience markers at all (injection pinned
   // off so an ambient OBLIVDB_FAULT_SPEC can't dirty the baseline).
   ScopedFaultInjection off("");
-  core::Executor clean(core::ExecContext{});
+  core::Executor clean(ctx);
   ASSERT_TRUE(clean.TryRun(plan).ok());
   const std::string plain = core::ExplainPlan(plan, clean.node_stats());
   EXPECT_EQ(plain.find("faults="), std::string::npos) << plain;
